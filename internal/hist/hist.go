@@ -2,11 +2,14 @@
 // histograms over virtual cycles.
 //
 // H is a fixed-size value type: embedding it in a per-rank metrics
-// registry costs no allocation, and every mutation is a single atomic
-// add or CAS, so peer goroutines (a sender depositing into the
+// registry costs no allocation, and every field is updated with atomic
+// adds or a CAS, so peer goroutines (a sender depositing into the
 // receiver's endpoint) can record observations into another rank's
 // histogram without holding that rank's locks. This mirrors the
-// "atomic throughout" contract of internal/metrics.
+// "atomic throughout" contract of internal/metrics. An observation
+// costs two locked adds (its bucket and the sum) plus a load of the
+// maximum, with a CAS only when the maximum grows; the observation
+// count is not stored but summed from the buckets when it is read.
 //
 // Buckets are powers of two: bucket i counts observations v with
 // 2^(i-1) < v <= 2^i (bucket 0 counts v <= 1, which includes zero).
@@ -28,7 +31,6 @@ const NumBuckets = 64
 // histogram ready for use. All methods are safe for concurrent use.
 type H struct {
 	buckets [NumBuckets]atomic.Int64
-	count   atomic.Int64
 	sum     atomic.Int64
 	max     atomic.Int64
 }
@@ -55,7 +57,6 @@ func (h *H) Observe(v int64) {
 		v = 0
 	}
 	h.buckets[bucketOf(v)].Add(1)
-	h.count.Add(1)
 	h.sum.Add(v)
 	for {
 		cur := h.max.Load()
@@ -65,8 +66,14 @@ func (h *H) Observe(v int64) {
 	}
 }
 
-// Count returns the number of observations.
-func (h *H) Count() int64 { return h.count.Load() }
+// Count returns the number of observations: the sum of the buckets.
+func (h *H) Count() int64 {
+	var n int64
+	for i := range h.buckets {
+		n += h.buckets[i].Load()
+	}
+	return n
+}
 
 // Sum returns the sum of all observed values.
 func (h *H) Sum() int64 { return h.sum.Load() }
@@ -78,36 +85,8 @@ func (h *H) Max() int64 { return h.max.Load() }
 // (0 < p <= 100): the upper bound of the bucket containing that
 // quantile, clamped to Max. An empty histogram reports zero.
 func (h *H) Percentile(p float64) int64 {
-	n := h.count.Load()
-	if n == 0 {
-		return 0
-	}
-	if p < 0 {
-		p = 0
-	}
-	if p > 100 {
-		p = 100
-	}
-	// Rank of the target observation, 1-based, rounding up.
-	target := int64(float64(n)*p/100 + 0.9999999)
-	if target < 1 {
-		target = 1
-	}
-	if target > n {
-		target = n
-	}
-	var cum int64
-	for i := 0; i < NumBuckets; i++ {
-		cum += h.buckets[i].Load()
-		if cum >= target {
-			ub := bucketUpper(i)
-			if m := h.max.Load(); ub > m {
-				ub = m
-			}
-			return ub
-		}
-	}
-	return h.max.Load()
+	s := h.load()
+	return s.percentile(p)
 }
 
 // bucketUpper is the inclusive upper bound of bucket i.
@@ -127,7 +106,6 @@ func (h *H) Merge(o *H) {
 			h.buckets[i].Add(v)
 		}
 	}
-	h.count.Add(o.count.Load())
 	h.sum.Add(o.sum.Load())
 	om := o.max.Load()
 	for {
@@ -153,16 +131,18 @@ type Snapshot struct {
 
 // Snapshot captures the histogram's current state.
 func (h *H) Snapshot() Snapshot {
-	s := Snapshot{
-		Count: h.count.Load(),
-		Sum:   h.sum.Load(),
-		Max:   h.max.Load(),
-		P50:   h.Percentile(50),
-		P90:   h.Percentile(90),
-		P99:   h.Percentile(99),
-	}
-	for i := 0; i < NumBuckets; i++ {
+	s := h.load()
+	s.P50, s.P90, s.P99 = s.percentile(50), s.percentile(90), s.percentile(99)
+	return s
+}
+
+// load copies the buckets, sum and max, deriving Count from the
+// copied buckets so the count and the distribution always agree.
+func (h *H) load() Snapshot {
+	s := Snapshot{Sum: h.sum.Load(), Max: h.max.Load()}
+	for i := range h.buckets {
 		s.Buckets[i] = h.buckets[i].Load()
+		s.Count += s.Buckets[i]
 	}
 	return s
 }
@@ -186,6 +166,13 @@ func (s *Snapshot) percentile(p float64) int64 {
 	if s.Count == 0 {
 		return 0
 	}
+	if p < 0 {
+		p = 0
+	}
+	if p > 100 {
+		p = 100
+	}
+	// Rank of the target observation, 1-based, rounding up.
 	target := int64(float64(s.Count)*p/100 + 0.9999999)
 	if target < 1 {
 		target = 1

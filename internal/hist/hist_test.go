@@ -125,6 +125,80 @@ func TestConcurrentObserve(t *testing.T) {
 	}
 }
 
+// Observe and Merge racing on one histogram: half the goroutines
+// observe into it directly, the other half fill a private shard and
+// merge it in, while a reader snapshots it. Every snapshot's Count is
+// its own bucket sum, and at the end Count, the bucket sum and
+// Snapshot().Count all equal the number of observations.
+func TestConcurrentObserveMerge(t *testing.T) {
+	const goroutines, per = 8, 2000
+	var h H
+	stop := make(chan struct{})
+	var reader sync.WaitGroup
+	reader.Add(1)
+	go func() {
+		defer reader.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			s := h.Snapshot()
+			var bsum int64
+			for _, b := range s.Buckets {
+				bsum += b
+			}
+			if s.Count != bsum {
+				t.Errorf("mid-run snapshot Count %d != bucket sum %d", s.Count, bsum)
+				return
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	var sums [goroutines]int64
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			dst := &h
+			var shard H
+			if g%2 == 1 {
+				dst = &shard
+			}
+			rng := rand.New(rand.NewSource(int64(g)))
+			for i := 0; i < per; i++ {
+				v := rng.Int63n(1 << 24)
+				dst.Observe(v)
+				sums[g] += v
+			}
+			if dst == &shard {
+				h.Merge(&shard)
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(stop)
+	reader.Wait()
+
+	const n = goroutines * per
+	var sum int64
+	for _, v := range sums {
+		sum += v
+	}
+	s := h.Snapshot()
+	var bsum int64
+	for _, b := range s.Buckets {
+		bsum += b
+	}
+	if h.Count() != n || bsum != n || s.Count != n {
+		t.Fatalf("Count %d, bucket sum %d, Snapshot().Count %d; want %d", h.Count(), bsum, s.Count, n)
+	}
+	if h.Sum() != sum {
+		t.Fatalf("Sum = %d, want %d", h.Sum(), sum)
+	}
+}
+
 func TestBucketBoundaries(t *testing.T) {
 	cases := []struct {
 		v    int64

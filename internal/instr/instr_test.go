@@ -2,6 +2,7 @@ package instr
 
 import (
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -209,5 +210,81 @@ func TestDeltaInvariant(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// Concurrent charging, as under MPI_THREAD_MULTIPLE: goroutines charge
+// one Profile in mixed categories in two phases separated by a Snap,
+// while a reader snapshots it. Every read after the chargers stop
+// matches a serial run exactly, Delta from the Snap holds exactly the
+// second phase, and Reset zeroes everything.
+func TestConcurrentCharge(t *testing.T) {
+	const goroutines, per = 8, 5000
+	// Goroutine g charges category g%NumCategories, g+1 per charge.
+	charge := func(p *Profile, g int) {
+		cat := Category(g % int(NumCategories))
+		for i := 0; i < per; i++ {
+			if cat < Transport {
+				p.Charge(cat, int64(g+1))
+			} else {
+				p.ChargeCycles(cat, int64(g+1))
+			}
+		}
+	}
+	var serial Profile
+	for g := 0; g < goroutines; g++ {
+		charge(&serial, g)
+	}
+	want := serial.Delta(Snapshot{})
+
+	var p Profile
+	phase := func() {
+		var wg sync.WaitGroup
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				charge(&p, g)
+			}(g)
+		}
+		wg.Wait()
+	}
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if b := p.Delta(Snapshot{}); b.Total > b.Cycles {
+				t.Errorf("mid-run Total %d > Cycles %d", b.Total, b.Cycles)
+				return
+			}
+		}
+	}()
+	phase()
+	mid := p.Snap()
+	phase()
+	close(stop)
+	<-done
+
+	if d := p.Delta(mid); d != want {
+		t.Errorf("Delta(mid) = %+v, want %+v", d, want)
+	}
+	both := want.Add(want)
+	for cat := Category(0); cat < NumCategories; cat++ {
+		if got := p.Count(cat); got != both.Counts[cat] {
+			t.Errorf("Count(%v) = %d, want %d", cat, got, both.Counts[cat])
+		}
+	}
+	if p.Total() != both.Total || p.Cycles() != both.Cycles {
+		t.Errorf("Total/Cycles = %d/%d, want %d/%d", p.Total(), p.Cycles(), both.Total, both.Cycles)
+	}
+
+	p.Reset()
+	if p.Delta(Snapshot{}) != (Breakdown{}) || p.Total() != 0 || p.Cycles() != 0 {
+		t.Errorf("after Reset: %+v", p.Delta(Snapshot{}))
 	}
 }

@@ -5,27 +5,20 @@ import (
 	"sync/atomic"
 )
 
-// Profile accumulates instruction charges for a single rank. Charges
-// are atomic adds: a rank is normally one goroutine, but under
+// Profile accumulates instruction charges for a single rank, one
+// counter per category, and a charge is one atomic add to that
+// counter. A rank is normally one goroutine, but under
 // MPI_THREAD_MULTIPLE several application goroutines drive the same
 // rank concurrently, and each must be able to charge without a lock.
-// Single-threaded behavior (and therefore every pinned instruction
-// count) is unchanged — an uncontended atomic add produces the same
-// totals as a plain add.
+// The MPI-instruction total and the cycle total are not stored: Total,
+// Cycles, Snap and Delta sum the categories when they are read, which
+// happens per call or per region, never per charge.
 type Profile struct {
-	counts [NumCategories]int64
-	total  int64 // MPI categories only (excludes Transport and Compute)
-	cycles int64 // everything, CPI 1.0 (includes Transport and Compute)
+	counts [NumCategories]atomic.Int64
 }
 
 // Charge records n abstract instructions in category cat.
-func (p *Profile) Charge(cat Category, n int64) {
-	atomic.AddInt64(&p.counts[cat], n)
-	atomic.AddInt64(&p.cycles, n)
-	if cat < Transport {
-		atomic.AddInt64(&p.total, n)
-	}
-}
+func (p *Profile) Charge(cat Category, n int64) { p.counts[cat].Add(n) }
 
 // ChargeCycles records raw cycles that are not instructions executed by
 // the MPI library (fabric injection latency, modeled compute time). They
@@ -34,59 +27,55 @@ func (p *Profile) ChargeCycles(cat Category, n int64) {
 	if cat < Transport {
 		panic("instr: ChargeCycles on an MPI instruction category")
 	}
-	atomic.AddInt64(&p.counts[cat], n)
-	atomic.AddInt64(&p.cycles, n)
+	p.counts[cat].Add(n)
 }
 
 // Count returns the accumulated charge for one category.
-func (p *Profile) Count(cat Category) int64 { return atomic.LoadInt64(&p.counts[cat]) }
+func (p *Profile) Count(cat Category) int64 { return p.counts[cat].Load() }
 
 // Total returns the accumulated MPI-library instruction count (the
 // Table 1 total: everything except Transport and Compute).
-func (p *Profile) Total() int64 { return atomic.LoadInt64(&p.total) }
+func (p *Profile) Total() int64 { return p.Delta(Snapshot{}).Total }
 
 // Cycles returns the total virtual cycles accumulated, including
 // transport and compute charges.
-func (p *Profile) Cycles() int64 { return atomic.LoadInt64(&p.cycles) }
+func (p *Profile) Cycles() int64 { return p.Delta(Snapshot{}).Cycles }
 
 // Reset zeroes the profile. Not safe against concurrent charging;
 // callers reset only while the rank is quiescent.
 func (p *Profile) Reset() {
 	for i := range p.counts {
-		atomic.StoreInt64(&p.counts[i], 0)
+		p.counts[i].Store(0)
 	}
-	atomic.StoreInt64(&p.total, 0)
-	atomic.StoreInt64(&p.cycles, 0)
 }
 
 // Snapshot is a point-in-time copy of a Profile, used to attribute the
 // cost of a single call: snap before, call, Delta after.
 type Snapshot struct {
 	counts [NumCategories]int64
-	total  int64
-	cycles int64
 }
 
 // Snap captures the current state of the profile.
 func (p *Profile) Snap() Snapshot {
 	var s Snapshot
 	for i := range p.counts {
-		s.counts[i] = atomic.LoadInt64(&p.counts[i])
+		s.counts[i] = p.counts[i].Load()
 	}
-	s.total = atomic.LoadInt64(&p.total)
-	s.cycles = atomic.LoadInt64(&p.cycles)
 	return s
 }
 
 // Delta returns the charges accumulated since the snapshot was taken,
-// as a Breakdown.
+// as a Breakdown whose Total (the categories before Transport) and
+// Cycles (all categories, CPI 1.0) are summed from the category deltas.
 func (p *Profile) Delta(s Snapshot) Breakdown {
 	var b Breakdown
 	for i := range p.counts {
-		b.Counts[i] = atomic.LoadInt64(&p.counts[i]) - s.counts[i]
+		b.Counts[i] = p.counts[i].Load() - s.counts[i]
+		if Category(i) < Transport {
+			b.Total += b.Counts[i]
+		}
+		b.Cycles += b.Counts[i]
 	}
-	b.Total = atomic.LoadInt64(&p.total) - s.total
-	b.Cycles = atomic.LoadInt64(&p.cycles) - s.cycles
 	return b
 }
 

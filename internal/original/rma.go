@@ -64,13 +64,14 @@ func (d *Device) winCreate(mem []byte, dispUnit int, c *comm.Comm, dynamic bool)
 			sh.Sizes[r], sh.DispUnits[r] = wi.size, wi.dispUnit
 		}
 		id = d.g.nextWinID()
+		for r := range sh.Keys {
+			sh.Keys[r] = id // one id addresses the window on every rank
+		}
 	}
+	// Rank 0 fills sh before publishing it; the other ranks only read.
 	vals = c.Exchange(sharedAndID{sh, id})
 	si := vals[0].(sharedAndID)
 	sh, id = si.sh, si.id
-	for r := range sh.Keys {
-		sh.Keys[r] = id // one id addresses the window on every rank
-	}
 
 	w := rma.NewWin(c, mem, dispUnit, id, sh)
 	d.lock()

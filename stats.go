@@ -12,9 +12,9 @@ import (
 // byte counts by transport path (self/shm/netmod and eager/rendezvous),
 // matching-engine statistics, queue high-water marks, buffer- and
 // request-pool behavior, and RMA operation counts. The underlying
-// counters are plain per-rank integers bumped on the hot paths — no
-// locks, no allocation, no instruction charges — and are folded into
-// this structure only when snapshotted.
+// counters are per-rank integers bumped with atomic adds on the hot
+// paths — no locks, no allocation, no instruction charges — and are
+// folded into this structure only when snapshotted.
 type MetricsSnapshot = metrics.Snapshot
 
 // RankStats is one rank's complete teardown snapshot.
