@@ -23,9 +23,12 @@ test:
 
 # The whole suite under the race detector: the multi-VCI engine makes
 # every layer reachable from concurrent goroutines, so everything runs
-# race-checked (including the ThreadMultiple chaos rounds).
+# race-checked (including the ThreadMultiple chaos rounds). The
+# benchmark module's tests run too: its workloads drive real traffic
+# with single-writer rank state (below MPI_THREAD_MULTIPLE).
 race:
 	$(GO) test -race ./...
+	cd mpibench && $(GO) test -race .
 
 # The benchmark program is a module of its own (mpibench/, replace =>
 # ../), so the root `go test ./...` never reaches its tests: they check

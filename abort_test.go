@@ -133,3 +133,54 @@ func TestNoSpuriousAbortOnSuccess(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestAbortMidTrafficDump fails one rank while its peers are still
+// exchanging messages, below MPI_THREAD_MULTIPLE (single-writer clocks)
+// and with a DiagWriter set: the dump runs on the failing rank's
+// goroutine while the others keep charging, so it must read their
+// clocks through what they published (clean under -race) and still
+// list every rank's clock.
+func TestAbortMidTrafficDump(t *testing.T) {
+	const n = 4
+	for _, dev := range []DeviceKind{DeviceCH4, DeviceOriginal} {
+		t.Run(string(dev), func(t *testing.T) {
+			var diag strings.Builder
+			boom := errors.New("mid-traffic boom")
+			cfg := Config{Device: dev, Fabric: "ofi", RanksPerNode: 2, DiagWriter: &diag}
+			err := failFast(t, n, cfg, func(p *Proc) error {
+				w := p.World()
+				right, left := (p.Rank()+1)%n, (p.Rank()+n-1)%n
+				sbuf, rbuf := make([]byte, 64), make([]byte, 64)
+				for i := 0; ; i++ {
+					if p.Rank() == 0 && i == 50 {
+						return boom
+					}
+					req, err := w.Isend(sbuf, len(sbuf), Byte, right, 0)
+					if err != nil {
+						return err
+					}
+					if _, err := w.Recv(rbuf, len(rbuf), Byte, left, 0); err != nil {
+						return err
+					}
+					if _, err := req.Wait(); err != nil {
+						return err
+					}
+				}
+			})
+			if !errors.Is(err, boom) {
+				t.Fatalf("err = %v, want the original failure", err)
+			}
+			out := diag.String()
+			for i := 0; i < n; i++ {
+				if !strings.Contains(out, fmt.Sprintf("rank %d: vcycles=", i)) {
+					t.Errorf("dump missing rank %d's clock:\n%s", i, out)
+				}
+			}
+			// The failing rank publishes before it tears the world
+			// down, so its own line shows the traffic it charged.
+			if strings.Contains(out, "rank 0: vcycles=0 ") {
+				t.Errorf("failing rank's clock not published:\n%s", out)
+			}
+		})
+	}
+}

@@ -8,10 +8,10 @@ import (
 )
 
 // Allocation-regression guards for the steady-state hot paths: the
-// 1-byte eager Isend and the 1-byte Put must not allocate once the
-// endpoint pools and free lists are warm, so a future PR that
-// reintroduces a per-message allocation fails here rather than only
-// showing up in benchmark numbers.
+// 1-byte eager Isend, the 1-byte blocking Recv and the 1-byte Put must
+// not allocate once the endpoint pools and free lists are warm, so a
+// future change that reintroduces a per-message allocation fails here
+// rather than only showing up in benchmark numbers.
 //
 // testing.AllocsPerRun counts mallocs process-wide, so each guard parks
 // the peer rank on an operation that cannot complete until the
@@ -78,6 +78,63 @@ func TestIsendSteadyStateAllocs(t *testing.T) {
 	}
 	if allocs > 0 {
 		t.Errorf("steady-state 1-byte Isend allocates %.1f objects/op, want 0", allocs)
+	}
+}
+
+// TestRecvSteadyStateAllocs measures the blocking receive of a 1-byte
+// message that has already arrived: the public wrapper, the request,
+// and the receive descriptor must all come from the stack or the warm
+// free lists. Every measured message sits in the unexpected queue
+// before the measurement starts, so the receiver never parks (parking
+// allocates runtime wait records); the sender parks first, in a Recv
+// that only the end of the measurement satisfies.
+func TestRecvSteadyStateAllocs(t *testing.T) {
+	const warm = 300
+	const runs = 200
+	var allocs float64
+	err := gompi.Run(2, gompi.Config{Fabric: "inf", Build: "no-err-single-ipo"}, func(p *gompi.Proc) error {
+		w := p.World()
+		buf := []byte{1}
+		if p.Rank() == 0 {
+			// Warm-up traffic, then the measured batch (AllocsPerRun
+			// makes one extra call), then the marker that tells the
+			// receiver the batch has landed.
+			for i := 0; i < warm+runs+1; i++ {
+				if err := w.IsendNoReq(buf, 1, gompi.Byte, 1, 0); err != nil {
+					return err
+				}
+			}
+			if err := w.IsendNoReq(buf, 1, gompi.Byte, 1, 1); err != nil {
+				return err
+			}
+			if err := w.CommWaitall(); err != nil {
+				return err
+			}
+			_, err := w.Recv(make([]byte, 1), 1, gompi.Byte, 1, 2)
+			return err
+		}
+		rbuf := make([]byte, 1)
+		for i := 0; i < warm; i++ {
+			if _, err := w.Recv(rbuf, 1, gompi.Byte, 0, 0); err != nil {
+				return err
+			}
+		}
+		if _, err := w.Recv(rbuf, 1, gompi.Byte, 0, 1); err != nil {
+			return err
+		}
+		time.Sleep(20 * time.Millisecond) // let rank 0 park in its Recv
+		allocs = testing.AllocsPerRun(runs, func() {
+			if _, err := w.Recv(rbuf, 1, gompi.Byte, 0, 0); err != nil {
+				t.Error(err)
+			}
+		})
+		return w.Send(buf, 1, gompi.Byte, 0, 2)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs > 0 {
+		t.Errorf("steady-state 1-byte Recv of an arrived message allocates %.1f objects/op, want 0", allocs)
 	}
 }
 

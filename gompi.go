@@ -317,10 +317,13 @@ type Proc struct {
 // rank's virtual clock and park state, the tail of its flight recorder
 // (recent protocol events), and the device wait graph — unmatched
 // posted receives, unexpected-queue contents, and who-waits-on-whom
-// edges. Safe to call from any goroutine at any time; the same dump
+// edges. Call it from a goroutine driving p, at any time: it publishes
+// p's own clock first, and every other rank appears with the clock it
+// last published (before parking, or on finishing). The same dump
 // fires automatically on a stall-watchdog trip.
 func (p *Proc) DumpState(w io.Writer) {
 	if p.dump != nil {
+		p.rank.Publish()
 		p.dump(w)
 	}
 }
@@ -353,6 +356,7 @@ func Run(n int, cfg Config, body func(p *Proc) error) error {
 		hz = 2.2e9
 	}
 	world := proc.NewWorld(n, rpn, hz)
+	world.SetThreadMultiple(cfg.ThreadMultiple)
 	world.SetInstrCPI(prof.InstrCPI)
 	reg := comm.NewRegistry()
 
@@ -378,12 +382,16 @@ func Run(n int, cfg Config, body func(p *Proc) error) error {
 	// dumpWorld renders the whole diagnosis: per-rank clock and park
 	// state, each rank's flight-recorder tail, and the device wait graph
 	// (unmatched posted receives, unexpected queues, waits-on edges).
+	// It runs on whichever goroutine fails or trips first, so it reads
+	// each clock as last published: a rank publishes before it parks
+	// and when it finishes, so a watchdog dump (every rank parked) is
+	// exact.
 	var mon *stall.Monitor
 	dumpWorld := func(w io.Writer) {
 		fmt.Fprintf(w, "=== gompi state dump (%d rank(s), device %s) ===\n", n, dev)
 		for i := 0; i < n; i++ {
 			r := world.Rank(i)
-			fmt.Fprintf(w, "rank %d: vcycles=%d parked=%v\n", i, int64(r.Now()), mon.Parked(i))
+			fmt.Fprintf(w, "rank %d: vcycles=%d parked=%v\n", i, int64(r.Published()), mon.Parked(i))
 			r.Metrics().Flight.Dump(w, fmt.Sprintf("rank %d", i))
 		}
 		dumpDevice(w)
@@ -429,6 +437,7 @@ func Run(n int, cfg Config, body func(p *Proc) error) error {
 		// recovery to report.
 		defer func() {
 			if rec := recover(); rec != nil {
+				r.Publish()
 				teardown()
 				panic(rec)
 			}
@@ -447,6 +456,7 @@ func Run(n int, cfg Config, body func(p *Proc) error) error {
 		r.StartBarrier()
 		p.world = &Comm{p: p, c: comm.NewWorld(reg, n, r.ID())}
 		err := body(p)
+		r.Publish()
 		if cfg.Stats != nil {
 			// Each rank fills only its own slot, so the collection
 			// needs no lock; the merge happens after RunAll joins.
@@ -516,6 +526,7 @@ func (p *Proc) Progress() { p.dev.Progress() }
 // blocked operation fails fast and Run returns an error carrying the
 // code. It does not return.
 func (p *Proc) Abort(code int) {
+	p.rank.Publish()
 	p.teardown()
 	panic(errc(ErrOther, "MPI_ABORT called by rank %d with code %d", p.Rank(), code))
 }

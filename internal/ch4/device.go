@@ -177,9 +177,10 @@ type Device struct {
 	// closures for the common receive shape (contiguous buffer, no
 	// wildcards) are recycled instead of reallocated, so steady-state
 	// receive loops — persistent-collective replays especially — post
-	// without touching the heap. A short mutex mirrors request.Pool:
-	// under MPI_THREAD_MULTIPLE several goroutines of one rank post
-	// receives concurrently.
+	// without touching the heap. boxMu mirrors request.Pool: it is
+	// taken only under MPI_THREAD_MULTIPLE, where several goroutines of
+	// one rank post receives concurrently; below it the owner goroutine
+	// is the freelist's only user.
 	boxMu   sync.Mutex
 	boxFree []*recvBox
 
@@ -196,6 +197,7 @@ type Device struct {
 func (g *Global) Open(r *proc.Rank) *Device {
 	d := &Device{g: g, rank: r, ep: g.Fab.Endpoint(r.ID()), cfg: g.Cfg}
 	d.pool.Metrics = r.Metrics()
+	d.pool.SingleOwner = !g.Cfg.ThreadMultiple
 	d.ep.Bind(r)
 	if g.Shm != nil {
 		g.Shm.Bind(r.ID(), r)

@@ -642,6 +642,7 @@ func (ep *Endpoint) WaitEvent(last uint64) uint64 {
 			ep.f.stall.Park(ep.rank)
 			ep.m.Flight.Record(flight.Park, int64(ep.meter.Now()), -1, 0, AnyVCI)
 		}
+		ep.meter.Publish()
 		ep.evCond.Wait()
 	}
 	atomic.AddInt32(&ep.evWaiters, -1)
@@ -680,6 +681,7 @@ func (ep *Endpoint) WaitEventVCI(v int, last uint64) uint64 {
 			ep.f.stall.Park(ep.rank)
 			ep.m.Flight.Record(flight.Park, int64(ep.meter.Now()), -1, 0, vn)
 		}
+		ep.meter.Publish()
 		s.cond.Wait()
 	}
 	seq := s.eventSeq
@@ -868,6 +870,8 @@ func (ep *Endpoint) WaitRecv(op *RecvOp) {
 				ep.f.stall.Park(ep.rank)
 				ep.m.Flight.Record(flight.Park, int64(ep.meter.Now()), -1, 0, op.vci)
 			}
+			// Progress between waits may have charged the clock.
+			ep.meter.Publish()
 			s.cond.Wait()
 		}
 		s.mu.Unlock()
@@ -1096,9 +1100,16 @@ func (ep *Endpoint) AMSend(dst int, handler uint8, hdr, payload []byte) {
 // Progress runs pending active-message handlers. It returns the number
 // of messages handled. Handlers run on the calling goroutine; devices
 // that use active messages keep progress on the owner goroutine.
+//
+// An empty queue returns without taking amMu. No wakeup is lost: the
+// enqueuer raises amqLen under amMu before waking every VCI and the
+// aggregate, and every park loop re-checks amqLen.
 func (ep *Endpoint) Progress() int {
 	total := 0
 	for {
+		if atomic.LoadInt32(&ep.amqLen) == 0 {
+			return total
+		}
 		ep.amMu.Lock()
 		batch := ep.amq
 		ep.amq = nil

@@ -33,6 +33,10 @@ type Meter interface {
 	// receive-side counters accrue through the destination endpoint's
 	// meter under that endpoint's lock.
 	Metrics() *metrics.Rank
+	// Publish makes the current clock readable from other goroutines
+	// (the state dump). A rank's clock may have a single writer, so
+	// the endpoint calls it on the owner's goroutine before each wait.
+	Publish()
 }
 
 // Options are the fabric's scale knobs — the on-demand connection

@@ -33,6 +33,7 @@ func (m *testMeter) ChargeCycles(cat instr.Category, n int64) {
 func (m *testMeter) Now() vtime.Time        { return m.clock.Now() }
 func (m *testMeter) Sync(t vtime.Time)      { m.clock.Sync(t) }
 func (m *testMeter) Metrics() *metrics.Rank { return &m.m }
+func (m *testMeter) Publish()               {}
 
 // newTestFabric builds a fabric with bound meters for each endpoint.
 func newTestFabric(t *testing.T, prof Profile, n int) (*Fabric, []*testMeter) {

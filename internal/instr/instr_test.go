@@ -214,8 +214,8 @@ func TestDeltaInvariant(t *testing.T) {
 }
 
 // Concurrent charging, as under MPI_THREAD_MULTIPLE: goroutines charge
-// one Profile in mixed categories in two phases separated by a Snap,
-// while a reader snapshots it. Every read after the chargers stop
+// one zero-value Profile (the atomic form) in mixed categories in two
+// phases separated by a Snap, while a reader snapshots it. Every read after the chargers stop
 // matches a serial run exactly, Delta from the Snap holds exactly the
 // second phase, and Reset zeroes everything.
 func TestConcurrentCharge(t *testing.T) {

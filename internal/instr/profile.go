@@ -6,19 +6,33 @@ import (
 )
 
 // Profile accumulates instruction charges for a single rank, one
-// counter per category, and a charge is one atomic add to that
-// counter. A rank is normally one goroutine, but under
+// counter per category. How a charge lands depends on who writes: a
+// rank below MPI_THREAD_MULTIPLE is one goroutine, the sole writer, so
+// a charge is a plain add (SetSingleWriter(true)); under
 // MPI_THREAD_MULTIPLE several application goroutines drive the same
-// rank concurrently, and each must be able to charge without a lock.
-// The MPI-instruction total and the cycle total are not stored: Total,
+// rank concurrently and each charge is one atomic add. The zero value
+// is the atomic form. Readers always load atomically. The
+// MPI-instruction total and the cycle total are not stored: Total,
 // Cycles, Snap and Delta sum the categories when they are read, which
 // happens per call or per region, never per charge.
 type Profile struct {
-	counts [NumCategories]atomic.Int64
+	counts [NumCategories]int64 // atomic unless single
+	single bool
 }
 
+// SetSingleWriter selects plain adds (true) or atomic adds (false) for
+// subsequent charges. With plain adds only the owning goroutine may
+// charge or read the profile. Call before the rank starts charging.
+func (p *Profile) SetSingleWriter(single bool) { p.single = single }
+
 // Charge records n abstract instructions in category cat.
-func (p *Profile) Charge(cat Category, n int64) { p.counts[cat].Add(n) }
+func (p *Profile) Charge(cat Category, n int64) {
+	if p.single {
+		p.counts[cat] += n
+		return
+	}
+	atomic.AddInt64(&p.counts[cat], n)
+}
 
 // ChargeCycles records raw cycles that are not instructions executed by
 // the MPI library (fabric injection latency, modeled compute time). They
@@ -27,11 +41,15 @@ func (p *Profile) ChargeCycles(cat Category, n int64) {
 	if cat < Transport {
 		panic("instr: ChargeCycles on an MPI instruction category")
 	}
-	p.counts[cat].Add(n)
+	if p.single {
+		p.counts[cat] += n
+		return
+	}
+	atomic.AddInt64(&p.counts[cat], n)
 }
 
 // Count returns the accumulated charge for one category.
-func (p *Profile) Count(cat Category) int64 { return p.counts[cat].Load() }
+func (p *Profile) Count(cat Category) int64 { return atomic.LoadInt64(&p.counts[cat]) }
 
 // Total returns the accumulated MPI-library instruction count (the
 // Table 1 total: everything except Transport and Compute).
@@ -45,7 +63,7 @@ func (p *Profile) Cycles() int64 { return p.Delta(Snapshot{}).Cycles }
 // callers reset only while the rank is quiescent.
 func (p *Profile) Reset() {
 	for i := range p.counts {
-		p.counts[i].Store(0)
+		atomic.StoreInt64(&p.counts[i], 0)
 	}
 }
 
@@ -59,7 +77,7 @@ type Snapshot struct {
 func (p *Profile) Snap() Snapshot {
 	var s Snapshot
 	for i := range p.counts {
-		s.counts[i] = p.counts[i].Load()
+		s.counts[i] = atomic.LoadInt64(&p.counts[i])
 	}
 	return s
 }
@@ -70,7 +88,7 @@ func (p *Profile) Snap() Snapshot {
 func (p *Profile) Delta(s Snapshot) Breakdown {
 	var b Breakdown
 	for i := range p.counts {
-		b.Counts[i] = p.counts[i].Load() - s.counts[i]
+		b.Counts[i] = atomic.LoadInt64(&p.counts[i]) - s.counts[i]
 		if Category(i) < Transport {
 			b.Total += b.Counts[i]
 		}

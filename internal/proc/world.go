@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"gompi/internal/abort"
 	"gompi/internal/instr"
@@ -28,7 +29,9 @@ type World struct {
 }
 
 // NewWorld creates a world of n ranks at ranksPerNode ranks per node,
-// with per-rank clocks at hz.
+// with per-rank clocks at hz. Clocks and profiles start in their
+// atomic, MPI_THREAD_MULTIPLE-safe form; SetThreadMultiple(false)
+// selects the single-writer form.
 func NewWorld(n, ranksPerNode int, hz float64) *World {
 	if n <= 0 {
 		panic("proc: world size must be positive")
@@ -53,6 +56,19 @@ func (w *World) SetInstrCPI(cpi float64) {
 	}
 	for _, r := range w.ranks {
 		r.cpi = cpi
+	}
+}
+
+// SetThreadMultiple declares the job's thread level. Below
+// MPI_THREAD_MULTIPLE (tm false) only each rank's own goroutine writes
+// its clock and instruction profile, so charges become plain adds and
+// other goroutines see the clock through Published. Must be called
+// before Run.
+func (w *World) SetThreadMultiple(tm bool) {
+	for _, r := range w.ranks {
+		r.single = !tm
+		r.prof.SetSingleWriter(!tm)
+		r.clock.SetSingleWriter(!tm)
 	}
 }
 
@@ -93,6 +109,7 @@ func (w *World) RunAll(body func(r *Rank) error) []error {
 		go func(r *Rank) {
 			defer wg.Done()
 			defer func() {
+				r.Publish()
 				if p := recover(); p != nil {
 					if err, ok := p.(error); ok && errors.Is(err, abort.ErrWorldAborted) {
 						errs[r.id] = fmt.Errorf("rank %d: %w", r.id, abort.ErrWorldAborted)
@@ -117,15 +134,18 @@ func wrapRankErr(id int, err error) error {
 
 // Rank is one MPI process: a goroutine plus its virtual clock and
 // instruction profile. It implements the Meter interfaces of the
-// fabric and shm packages. All methods except the world queries must be
-// called only from the rank's own goroutine.
+// fabric and shm packages. All methods except the world queries and
+// Published must be called only from the rank's own goroutine (or,
+// under MPI_THREAD_MULTIPLE, from the goroutines driving the rank).
 type Rank struct {
-	id    int
-	world *World
-	clock *vtime.Clock
-	prof  instr.Profile
-	cpi   float64 // cycles per MPI instruction (platform model)
-	m     metrics.Rank
+	prof   instr.Profile // first: 64-bit aligned for its atomic form
+	id     int
+	world  *World
+	clock  *vtime.Clock
+	cpi    float64 // cycles per MPI instruction (platform model)
+	m      metrics.Rank
+	single bool         // below MPI_THREAD_MULTIPLE: clock has one writer
+	pub    atomic.Int64 // clock as of the last Publish
 }
 
 // ID returns the rank's world rank.
@@ -158,6 +178,24 @@ func (r *Rank) Now() vtime.Time { return r.clock.Now() }
 // Sync advances the rank's clock to t if t is in the future (message
 // arrival, epoch close).
 func (r *Rank) Sync(t vtime.Time) { r.clock.Sync(t) }
+
+// Publish makes the rank's current clock visible to other goroutines
+// through Published. A single-writer clock is updated with plain adds,
+// so the owner publishes at the points where another goroutine may
+// read it: before each transport wait (the transports call it through
+// their Meter) and when the rank body returns.
+func (r *Rank) Publish() { r.pub.Store(int64(r.clock.Now())) }
+
+// Published returns the rank's clock for a reader on any goroutine:
+// the value of the last Publish for a single-writer clock, the live
+// clock under MPI_THREAD_MULTIPLE. A parked or finished rank has
+// published its final value.
+func (r *Rank) Published() vtime.Time {
+	if r.single {
+		return vtime.Time(r.pub.Load())
+	}
+	return r.clock.Now()
+}
 
 // Clock exposes the rank's clock for rate computations.
 func (r *Rank) Clock() *vtime.Clock { return r.clock }

@@ -2,6 +2,7 @@ package proc
 
 import (
 	"errors"
+	"math/rand"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -9,6 +10,7 @@ import (
 	"testing/quick"
 
 	"gompi/internal/instr"
+	"gompi/internal/vtime"
 )
 
 func TestWorldGeometry(t *testing.T) {
@@ -185,5 +187,110 @@ func TestNodeMappingProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// chargeMix drives a seeded mix of instruction charges, cycle charges
+// and clock syncs (some into the past, which must not move the clock).
+func chargeMix(r *Rank, seed int64, ops int) {
+	rng := rand.New(rand.NewSource(seed))
+	for i := 0; i < ops; i++ {
+		switch rng.Intn(3) {
+		case 0:
+			r.Charge(instr.Category(rng.Intn(int(instr.Transport))), rng.Int63n(300))
+		case 1:
+			r.ChargeCycles(instr.Transport+instr.Category(rng.Intn(2)), rng.Int63n(5000))
+		default:
+			r.Sync(r.Now() + vtime.Time(rng.Int63n(4000)-2000))
+		}
+	}
+}
+
+// The single-writer form adds the same integers in the same order as
+// the atomic form, so a seeded charge mix must leave both ranks with
+// bit-identical profiles and clocks, on the x86 CPI and the BG/Q one.
+func TestSingleWriterMatchesShared(t *testing.T) {
+	for _, cpi := range []float64{1, 6} {
+		for seed := int64(1); seed <= 5; seed++ {
+			shared := NewWorld(1, 1, 2.2e9)
+			single := NewWorld(1, 1, 2.2e9)
+			single.SetThreadMultiple(false)
+			shared.SetInstrCPI(cpi)
+			single.SetInstrCPI(cpi)
+			a, b := shared.Rank(0), single.Rank(0)
+			chargeMix(a, seed, 5000)
+			chargeMix(b, seed, 5000)
+			if da, db := a.Profile().Delta(instr.Snapshot{}), b.Profile().Delta(instr.Snapshot{}); da != db {
+				t.Errorf("cpi %v seed %d: profiles differ:\nshared %+v\nsingle %+v", cpi, seed, da, db)
+			}
+			if a.Now() != b.Now() {
+				t.Errorf("cpi %v seed %d: clocks differ: shared %d, single %d", cpi, seed, a.Now(), b.Now())
+			}
+		}
+	}
+}
+
+// Under MPI_THREAD_MULTIPLE several goroutines charge one rank; every
+// charge must land (exact totals, and clean under -race).
+func TestSharedRankConcurrentCharges(t *testing.T) {
+	const goroutines, per = 8, 4000
+	w := NewWorld(1, 1, 2.2e9)
+	w.SetThreadMultiple(true)
+	r := w.Rank(0)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				r.Charge(instr.Mandatory, int64(g+1))
+				r.ChargeCycles(instr.Transport, 2)
+				r.Sync(0)
+			}
+		}(g)
+	}
+	wg.Wait()
+	wantInstr := int64(per * goroutines * (goroutines + 1) / 2)
+	wantCycles := wantInstr + 2*per*goroutines
+	if got := r.Profile().Total(); got != wantInstr {
+		t.Errorf("Total = %d, want %d", got, wantInstr)
+	}
+	if got := r.Profile().Cycles(); got != wantCycles {
+		t.Errorf("Cycles = %d, want %d", got, wantCycles)
+	}
+	if got := int64(r.Now()); got != wantCycles {
+		t.Errorf("Now = %d, want %d", got, wantCycles)
+	}
+	if r.Published() != r.Now() {
+		t.Errorf("shared clock: Published = %d, want the live clock %d", r.Published(), r.Now())
+	}
+}
+
+// A single-writer clock is visible to other goroutines only as last
+// published; the rank publishes when its body returns.
+func TestPublishedClock(t *testing.T) {
+	w := NewWorld(2, 1, 2.2e9)
+	w.SetThreadMultiple(false)
+	r := w.Rank(0)
+	r.ChargeCycles(instr.Compute, 100)
+	if r.Published() != 0 {
+		t.Errorf("Published before Publish = %d, want 0", r.Published())
+	}
+	r.Publish()
+	r.ChargeCycles(instr.Compute, 50)
+	if r.Published() != 100 {
+		t.Errorf("Published = %d, want 100", r.Published())
+	}
+	if err := w.Run(func(r *Rank) error {
+		r.ChargeCycles(instr.Compute, 1000)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if got := w.Rank(0).Published(); got != 1150 {
+		t.Errorf("Published after Run = %d, want 1150", got)
+	}
+	if got := w.Rank(1).Published(); got != 1000 {
+		t.Errorf("rank 1 Published after Run = %d, want 1000", got)
 	}
 }

@@ -96,13 +96,19 @@ func (r *Request) Free() {
 	}
 }
 
-// Pool is a per-rank request freelist. A short mutex guards the
-// freelist itself (under MPI_THREAD_MULTIPLE several goroutines of one
-// rank allocate and free concurrently); the requests handed out are
-// still owned by single goroutines. The zero value is ready to use.
+// Pool is a per-rank request freelist. Under MPI_THREAD_MULTIPLE
+// several goroutines of one rank allocate and free concurrently, so a
+// short mutex guards the freelist itself; below it the rank's own
+// goroutine is the only user, and SingleOwner skips the mutex. The
+// requests handed out are owned by single goroutines either way. The
+// zero value is ready to use, locked.
 type Pool struct {
 	mu   sync.Mutex
 	free []*Request
+
+	// SingleOwner declares that one goroutine does every Get and Free,
+	// so the freelist needs no lock. Set before first use.
+	SingleOwner bool
 
 	// Metrics, when set, counts gets and freelist reuses (the
 	// request-recycling rate the paper's Section 3.5 is about).
@@ -112,7 +118,9 @@ type Pool struct {
 // Get returns a zeroed request.
 func (p *Pool) Get(kind Kind) *Request {
 	var r *Request
-	p.mu.Lock()
+	if !p.SingleOwner {
+		p.mu.Lock()
+	}
 	reused := false
 	if n := len(p.free); n > 0 {
 		reused = true
@@ -122,7 +130,9 @@ func (p *Pool) Get(kind Kind) *Request {
 	} else {
 		r = &Request{}
 	}
-	p.mu.Unlock()
+	if !p.SingleOwner {
+		p.mu.Unlock()
+	}
 	if p.Metrics != nil {
 		p.Metrics.NoteReqAlloc(reused)
 	}
@@ -133,9 +143,11 @@ func (p *Pool) Get(kind Kind) *Request {
 
 func (p *Pool) put(r *Request) {
 	r.Poll, r.Block = nil, nil
-	p.mu.Lock()
+	if !p.SingleOwner {
+		p.mu.Lock()
+		defer p.mu.Unlock()
+	}
 	p.free = append(p.free, r)
-	p.mu.Unlock()
 }
 
 // Len reports the freelist depth (tests).

@@ -107,6 +107,9 @@ type Meter interface {
 	Now() vtime.Time
 	Sync(t vtime.Time)
 	Metrics() *metrics.Rank
+	// Publish makes the current clock readable from other goroutines
+	// (the state dump). The domain calls it before a sender waits.
+	Publish()
 }
 
 // Deliver hands a fully reassembled message to the device on the
@@ -401,10 +404,13 @@ func (h *Handoff) Release(copied bool) {
 	r.hActive--
 	r.hBytes -= h.bytes
 	r.mu.Unlock()
+	// Once done is set the sender may finish, recycle and republish
+	// the descriptor, so the wake target is read before the store.
+	src, vci := h.src, h.vci
 	h.done.Store(true)
 	d.stall.Activity()
 	if d.wake != nil {
-		d.wake(h.src, h.vci)
+		d.wake(src, vci)
 	}
 }
 
@@ -501,6 +507,7 @@ func (d *Domain) send(src, dst int, bits match.Bits, data []byte, vci int, allow
 				d.stall.Park(src)
 				m.Metrics().Flight.Record(flight.Park, int64(m.Now()), dst, 0, vci)
 			}
+			m.Publish()
 			r.cond.Wait()
 		}
 		c := &r.cells[(r.head+r.count)%d.ringCells]
@@ -549,6 +556,7 @@ func (d *Domain) publishHandoff(src, dst int, bits match.Bits, data []byte, vci 
 			d.stall.Park(src)
 			m.Metrics().Flight.Record(flight.Park, int64(m.Now()), dst, 0, vci)
 		}
+		m.Publish()
 		r.cond.Wait()
 	}
 	h := r.hFree

@@ -17,15 +17,18 @@ type Time int64
 // Cycles is a duration in virtual cycles.
 type Cycles = int64
 
-// Clock is one rank's virtual clock. Updates are atomic: a rank is
-// normally one goroutine, but under MPI_THREAD_MULTIPLE several
-// application goroutines advance the same rank's clock concurrently.
-// Cross-rank ordering still happens only through message timestamps
-// (Sync). Single-threaded advancement is numerically identical to the
-// plain-add form.
+// Clock is one rank's virtual clock. Below MPI_THREAD_MULTIPLE a rank
+// is one goroutine, the clock's only writer, and SetSingleWriter(true)
+// makes Advance and Sync plain updates. Under MPI_THREAD_MULTIPLE
+// several application goroutines advance the same rank's clock
+// concurrently, so updates are atomic; that is the zero value and
+// NewClock's default. Cross-rank ordering still happens only through
+// message timestamps (Sync). Both forms add the same integers in the
+// same order, so virtual time is identical either way.
 type Clock struct {
-	now int64 // atomic
-	hz  float64
+	now    int64 // atomic unless single
+	hz     float64
+	single bool
 }
 
 // NewClock returns a clock ticking at the given model frequency.
@@ -35,6 +38,12 @@ func NewClock(hz float64) *Clock {
 	}
 	return &Clock{hz: hz}
 }
+
+// SetSingleWriter selects plain (true) or atomic (false) updates for
+// subsequent Advance and Sync calls. With plain updates only the
+// owning goroutine may touch the clock; other goroutines read a value
+// the owner publishes. Call before the owner starts advancing.
+func (c *Clock) SetSingleWriter(single bool) { c.single = single }
 
 // Now returns the current virtual time.
 func (c *Clock) Now() Time { return Time(atomic.LoadInt64(&c.now)) }
@@ -48,14 +57,25 @@ func (c *Clock) Advance(n Cycles) {
 	if n < 0 {
 		panic("vtime: negative advance")
 	}
+	if c.single {
+		c.now += n
+		return
+	}
 	atomic.AddInt64(&c.now, n)
 }
 
 // Sync advances the clock to t if t is in the future; a rank that waited
 // for a message lands at the message's arrival time. Sync never moves
-// the clock backward (a CAS maximum, so concurrent Syncs cannot regress
-// the clock either).
+// the clock backward (a plain maximum for a single writer, a CAS
+// maximum otherwise, so concurrent Syncs cannot regress the clock
+// either).
 func (c *Clock) Sync(t Time) {
+	if c.single {
+		if int64(t) > c.now {
+			c.now = int64(t)
+		}
+		return
+	}
 	for {
 		cur := atomic.LoadInt64(&c.now)
 		if int64(t) <= cur {

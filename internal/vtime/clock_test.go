@@ -2,6 +2,7 @@ package vtime
 
 import (
 	"math"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -112,5 +113,31 @@ func TestAdvanceAdditive(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// The zero value and NewClock's default are the atomic form: goroutines
+// advancing and syncing one clock concurrently lose no cycles and
+// race-check clean.
+func TestDefaultClockIsAtomic(t *testing.T) {
+	const goroutines, per = 8, 5000
+	for name, c := range map[string]*Clock{"zero": {hz: 1e9}, "NewClock": NewClock(1e9)} {
+		var wg sync.WaitGroup
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := 0; i < per; i++ {
+					c.Advance(int64(g + 1))
+					c.Sync(Time(i))
+				}
+			}(g)
+		}
+		wg.Wait()
+		// Each Sync targets a time the goroutine's own advances have
+		// already passed, so it never moves the clock.
+		if want := Time(per * goroutines * (goroutines + 1) / 2); c.Now() != want {
+			t.Errorf("%s: Now = %d, want %d", name, c.Now(), want)
+		}
 	}
 }

@@ -136,10 +136,23 @@ func Waitall(reqs []*Request) error {
 	return first
 }
 
-// isend is the shared MPI-layer send path: charge the MPI-layer rows of
-// Table 1 (call, thread check, error checking) and descend into the
-// device with the extension flags.
+// isend is the shared MPI-layer send path: isendInto, with the
+// request moved to the heap for the caller. Requestless sends return
+// nil without allocating.
 func (c *Comm) isend(buf []byte, count int, dt *Datatype, dest, tag int, flags core.OpFlags) (*Request, error) {
+	var req Request
+	if err := c.isendInto(&req, buf, count, dt, dest, tag, flags); err != nil || req.r == nil {
+		return nil, err
+	}
+	out := req
+	return &out, nil
+}
+
+// isendInto charges the MPI-layer rows of Table 1 (call, thread check,
+// error checking), descends into the device with the extension flags,
+// and fills req. Blocking Send passes a stack Request, so it waits
+// without allocating the public wrapper.
+func (c *Comm) isendInto(req *Request, buf []byte, count int, dt *Datatype, dest, tag int, flags core.OpFlags) error {
 	p := c.p
 	if end := p.spanVCI(traceSendKind, dest, traceBytes(count, dt), p.vciOf(c, tag, false)); end != nil {
 		defer end()
@@ -149,17 +162,15 @@ func (c *Comm) isend(buf []byte, count int, dt *Datatype, dest, tag int, flags c
 	defer unlock()
 	if p.bc.ErrorChecking {
 		if err := p.checkSendArgs(buf, count, dt, dest, tag, c, false); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	r, err := p.dev.Isend(buf, count, dt, dest, tag, c.c, flags)
 	if err != nil {
-		return nil, errc(ErrOther, "%v", err)
+		return errc(ErrOther, "%v", err)
 	}
-	if r == nil {
-		return nil, nil
-	}
-	return &Request{r: r, p: p}, nil
+	req.r, req.p = r, p
+	return nil
 }
 
 // Isend starts a nonblocking send (MPI_ISEND).
@@ -170,11 +181,11 @@ func (c *Comm) Isend(buf []byte, count int, dt *Datatype, dest, tag int) (*Reque
 // Send performs a blocking send (MPI_SEND). The eager protocol makes
 // local completion immediate.
 func (c *Comm) Send(buf []byte, count int, dt *Datatype, dest, tag int) error {
-	req, err := c.Isend(buf, count, dt, dest, tag)
-	if err != nil {
+	var req Request
+	if err := c.isendInto(&req, buf, count, dt, dest, tag, 0); err != nil {
 		return err
 	}
-	_, err = req.Wait()
+	_, err := req.Wait()
 	return err
 }
 
@@ -328,6 +339,19 @@ func (c *Comm) CommWaitall() error {
 // defined error (ErrHint) before anything reaches the device, and the
 // exact-length assertion arms the returned request's completion check.
 func (c *Comm) irecv(buf []byte, count int, dt *Datatype, src, tag int, flags core.OpFlags) (*Request, error) {
+	var req Request
+	if err := c.irecvInto(&req, buf, count, dt, src, tag, flags); err != nil {
+		return nil, err
+	}
+	out := req
+	return &out, nil
+}
+
+// irecvInto is the shared MPI-layer receive path: charge the MPI-layer
+// rows, validate, post to the device, and fill req. Blocking receives
+// pass a stack Request, so they wait without allocating the public
+// wrapper.
+func (c *Comm) irecvInto(req *Request, buf []byte, count int, dt *Datatype, src, tag int, flags core.OpFlags) error {
 	p := c.p
 	if end := p.spanVCI(traceRecvKind, src, traceBytes(count, dt), p.vciOf(c, tag, true)); end != nil {
 		defer end()
@@ -337,21 +361,21 @@ func (c *Comm) irecv(buf []byte, count int, dt *Datatype, src, tag int, flags co
 	defer unlock()
 	if p.bc.ErrorChecking {
 		if err := p.checkSendArgs(buf, count, dt, src, tag, c, true); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	if err := checkHints(c.c, src, tag); err != nil {
-		return nil, err
+		return err
 	}
 	r, err := p.dev.Irecv(buf, count, dt, src, tag, c.c, flags)
 	if err != nil {
-		return nil, errc(ErrOther, "%v", err)
+		return errc(ErrOther, "%v", err)
 	}
-	req := &Request{r: r, p: p}
+	req.r, req.p = r, p
 	if c.c.Hints.ExactLength && src != ProcNull {
 		req.exact, req.exactLen = true, dtPackedSize(dt, count)
 	}
-	return req, nil
+	return nil
 }
 
 // Irecv starts a nonblocking receive (MPI_IRECV). src may be AnySource;
@@ -424,8 +448,8 @@ func (p *Proc) IrecvPredef(h CommHandle, buf []byte, count int, dt *Datatype, sr
 
 // Recv performs a blocking receive (MPI_RECV).
 func (c *Comm) Recv(buf []byte, count int, dt *Datatype, src, tag int) (Status, error) {
-	req, err := c.Irecv(buf, count, dt, src, tag)
-	if err != nil {
+	var req Request
+	if err := c.irecvInto(&req, buf, count, dt, src, tag, 0); err != nil {
 		return Status{}, err
 	}
 	return req.Wait()
@@ -434,8 +458,8 @@ func (c *Comm) Recv(buf []byte, count int, dt *Datatype, src, tag int) (Status, 
 // RecvNoMatch receives the next message in arrival order within the
 // communicator (the receive side of the no-match proposal).
 func (c *Comm) RecvNoMatch(buf []byte, count int, dt *Datatype) (Status, error) {
-	req, err := c.IrecvNoMatch(buf, count, dt)
-	if err != nil {
+	var req Request
+	if err := c.irecvInto(&req, buf, count, dt, AnySource, AnyTag, RecvOptions{NoMatch: true}.flags()); err != nil {
 		return Status{}, err
 	}
 	return req.Wait()
