@@ -181,6 +181,20 @@ func TestAbortMidTrafficDump(t *testing.T) {
 			if strings.Contains(out, "rank 0: vcycles=0 ") {
 				t.Errorf("failing rank's clock not published:\n%s", out)
 			}
+			// Its flight ring is published with the clock: the dump
+			// shows the receives it completed and how each message
+			// met its receive.
+			var ring []string
+			for _, l := range strings.Split(out, "\n") {
+				if strings.HasPrefix(l, "rank 0   #") {
+					ring = append(ring, l)
+				}
+			}
+			tail := strings.Join(ring, "\n")
+			if !strings.Contains(tail, " recv-done ") ||
+				!(strings.Contains(tail, " deposit ") || strings.Contains(tail, " unex-hit ")) {
+				t.Errorf("rank 0's flight ring lacks recv-done and deposit/unex-hit:\n%s", out)
+			}
 		})
 	}
 }

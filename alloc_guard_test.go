@@ -22,7 +22,9 @@ import (
 // warm-up phase pushes `warm` messages through the unexpected queue so
 // the receive side returns that many payload buffers, message
 // envelopes, and match nodes to the free lists; the measured sends then
-// recycle them.
+// recycle them. The receiver is parked in a receive on its own tag
+// until all `warm` messages have been sent, so every one of them is
+// queued unexpected however fast the receiver would otherwise drain.
 func TestIsendSteadyStateAllocs(t *testing.T) {
 	const warm = 300
 	const runs = 200
@@ -35,6 +37,10 @@ func TestIsendSteadyStateAllocs(t *testing.T) {
 				if err := w.IsendNoReq(buf, 1, gompi.Byte, 1, 0); err != nil {
 					return err
 				}
+			}
+			// Release the receiver: the warm messages are all queued.
+			if err := w.IsendNoReq(buf, 1, gompi.Byte, 1, 3); err != nil {
+				return err
 			}
 			// Wait for the receiver to drain, then let it park.
 			ack := make([]byte, 1)
@@ -55,6 +61,9 @@ func TestIsendSteadyStateAllocs(t *testing.T) {
 			return w.CommWaitall()
 		}
 		rbuf := make([]byte, 1)
+		if _, err := w.Recv(rbuf, 1, gompi.Byte, 0, 3); err != nil {
+			return err
+		}
 		for i := 0; i < warm; i++ {
 			if _, err := w.Recv(rbuf, 1, gompi.Byte, 0, 0); err != nil {
 				return err

@@ -13,42 +13,58 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"gompi/internal/bench"
 )
 
 func main() {
-	table1 := flag.Bool("table1", false, "print Table 1 only")
-	fig2 := flag.Bool("fig2", false, "print Figure 2 only")
-	proposals := flag.Bool("proposals", false, "print Section 3 proposal savings only")
-	flag.Parse()
+	if err := run(os.Stdout, os.Args[1:]); err != nil {
+		fmt.Fprintln(os.Stderr, "instrcount:", err)
+		os.Exit(1)
+	}
+}
+
+// run parses args and writes the requested tables to w.
+func run(w io.Writer, args []string) error {
+	fs := flag.NewFlagSet("instrcount", flag.ContinueOnError)
+	table1 := fs.Bool("table1", false, "print Table 1 only")
+	fig2 := fs.Bool("fig2", false, "print Figure 2 only")
+	proposals := fs.Bool("proposals", false, "print Section 3 proposal savings only")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return err
+	}
 	all := !*table1 && !*fig2 && !*proposals
 
 	if *table1 || all {
 		isend, put, err := bench.Table1()
-		fail(err)
-		bench.WriteTable1(os.Stdout, isend, put)
-		fmt.Println()
+		if err != nil {
+			return err
+		}
+		bench.WriteTable1(w, isend, put)
+		fmt.Fprintln(w)
 	}
 	if *fig2 || all {
 		isends, puts, err := bench.Figure2()
-		fail(err)
-		bench.WriteFigure2(os.Stdout, isends, puts)
-		fmt.Println()
+		if err != nil {
+			return err
+		}
+		bench.WriteFigure2(w, isends, puts)
+		fmt.Fprintln(w)
 	}
 	if *proposals || all {
 		rows, base, err := bench.ProposalSavings()
-		fail(err)
-		bench.WriteProposalSavings(os.Stdout, rows, base)
+		if err != nil {
+			return err
+		}
+		bench.WriteProposalSavings(w, rows, base)
 	}
-}
-
-func fail(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "instrcount:", err)
-		os.Exit(1)
-	}
+	return nil
 }

@@ -318,9 +318,9 @@ type Proc struct {
 // (recent protocol events), and the device wait graph — unmatched
 // posted receives, unexpected-queue contents, and who-waits-on-whom
 // edges. Call it from a goroutine driving p, at any time: it publishes
-// p's own clock first, and every other rank appears with the clock it
-// last published (before parking, or on finishing). The same dump
-// fires automatically on a stall-watchdog trip.
+// p's own clock and flight recorder first, and every other rank appears
+// as it last published them (before parking, or on finishing). The
+// same dump fires automatically on a stall-watchdog trip.
 func (p *Proc) DumpState(w io.Writer) {
 	if p.dump != nil {
 		p.rank.Publish()
@@ -383,9 +383,9 @@ func Run(n int, cfg Config, body func(p *Proc) error) error {
 	// state, each rank's flight-recorder tail, and the device wait graph
 	// (unmatched posted receives, unexpected queues, waits-on edges).
 	// It runs on whichever goroutine fails or trips first, so it reads
-	// each clock as last published: a rank publishes before it parks
-	// and when it finishes, so a watchdog dump (every rank parked) is
-	// exact.
+	// each clock and flight ring as last published: a rank publishes
+	// before it parks and when it finishes, so a watchdog dump (every
+	// rank parked) is exact.
 	var mon *stall.Monitor
 	dumpWorld := func(w io.Writer) {
 		fmt.Fprintf(w, "=== gompi state dump (%d rank(s), device %s) ===\n", n, dev)

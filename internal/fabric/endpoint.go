@@ -54,6 +54,12 @@ type RecvOp struct {
 	// vci is the interface the op was posted on, or AnyVCI when the op
 	// is replicated across every interface (wildcard fallback).
 	vci int
+	// from is the interface that delivered the message, and deposited
+	// says the delivery happened as the message arrived (a sender's
+	// deposit, possibly on another goroutine): reap then records the
+	// deposit in the owner's flight ring.
+	from      int
+	deposited bool
 	// posted is the owner's virtual clock at PostRecv time; the
 	// depositing peer reads it (under the VCI lock that also ordered
 	// the engine insertion) to observe post→match latency.
@@ -81,6 +87,8 @@ func (op *RecvOp) Reset() {
 	op.done.Store(false)
 	op.reaped = false
 	op.vci = 0
+	op.from = 0
+	op.deposited = false
 	op.posted = 0
 	op.multi = false
 	op.claimed.Store(false)
@@ -127,19 +135,65 @@ type am struct {
 }
 
 // vci is one virtual communication interface: a private lock, matching
-// engine, buffer pool, envelope free list, and event sequence. Two
-// goroutines of the same rank driving different VCIs never contend.
+// engine, buffer pool, envelope free list, event sequence, and the
+// receive-side telemetry of the messages landed on it. Two goroutines
+// of the same rank driving different VCIs never contend.
 type vci struct {
-	mu       sync.Mutex
-	cond     *sync.Cond
-	eng      match.Engine
-	pool     bufPool
-	msgFree  *message
+	mu      sync.Mutex
+	cond    *sync.Cond
+	eng     match.Engine
+	pool    bufPool
+	msgFree *message
+	// eventSeq counts deposits and wakes on this interface. It is
+	// incremented atomically under mu, so EventSeqVCI loads it without
+	// the lock and a waiter's locked re-check still loses no wakeup.
 	eventSeq uint64
-	stats    metrics.VCIStat // receive-side traffic + events, under mu
-	// postMatch is this interface's post→match latency distribution
-	// (hist.H is atomic; writers happen to hold mu anyway).
+	rx       rxStats
+	// postMatch is this interface's post→match latency distribution:
+	// every post→match span of the endpoint closes under one VCI lock,
+	// so it is a plain histogram, written and read under mu.
 	postMatch hist.H
+}
+
+// rxStats is the receive-side telemetry one interface records as
+// messages land on it, often on the sending rank's goroutine. It is
+// written plainly under the VCI lock at every thread level and folded
+// into the rank's snapshot under the same lock, so no goroutine writes
+// another rank's registry.
+type rxStats struct {
+	paths  [numVia]metrics.PathStat // messages landed, by transport
+	staged metrics.PathStat         // unexpected-queue staging copies
+	direct metrics.PathStat         // final copies into posted buffers
+	pool   metrics.PoolStats
+	// unexMax is the unexpected-queue high water.
+	unexMax int64
+	// deposited counts messages matched on arrival: each spent zero
+	// time on the unexpected queue.
+	deposited int64
+}
+
+// note counts one message of n bytes on p. Caller holds the VCI lock.
+func note(p *metrics.PathStat, n int) {
+	p.Msgs++
+	p.Bytes += int64(n)
+}
+
+// snapshot returns the interface's receive-side share of a rank
+// snapshot, ready to Merge. Caller holds the VCI lock.
+func (s *vci) snapshot() metrics.Snapshot {
+	rx := &s.rx
+	part := metrics.Snapshot{
+		NetRecv:      rx.paths[viaNet],
+		ShmRecv:      rx.paths[viaShm],
+		Self:         rx.paths[viaSelf],
+		CopiesStaged: rx.staged,
+		CopiesDirect: rx.direct,
+		Pool:         rx.pool,
+		Match:        metrics.MatchStats{UnexpectedMax: rx.unexMax},
+		Lat:          metrics.LatSnapshot{PostMatch: s.postMatch.Snapshot()},
+	}
+	part.Lat.UnexRes.Count, part.Lat.UnexRes.Buckets[0] = rx.deposited, rx.deposited
+	return part
 }
 
 // getMessage pops a recycled message envelope (or allocates the first
@@ -228,10 +282,9 @@ type Endpoint struct {
 
 	handlers [256]AMHandler
 	meter    Meter
-	// m caches meter.Metrics(). The registry is atomic throughout, so
-	// depositing peers and concurrent owner goroutines bump it without
-	// holding any particular lock. Starts as a placeholder registry;
-	// Bind replaces it.
+	// m caches meter.Metrics(). Only the owning rank's goroutines write
+	// it; what a depositing peer records goes to the VCI's rx block.
+	// Starts as a placeholder registry; Bind replaces it.
 	m *metrics.Rank
 
 	// conns tracks which peers this endpoint has materialized send-side
@@ -258,6 +311,7 @@ const (
 	viaNet via = iota
 	viaShm
 	viaSelf
+	numVia
 )
 
 func newEndpoint(f *Fabric, rank, nvci int) *Endpoint {
@@ -268,6 +322,7 @@ func newEndpoint(f *Fabric, rank, nvci int) *Endpoint {
 	for i := range ep.vcis {
 		s := new(vci)
 		s.cond = sync.NewCond(&s.mu)
+		s.postMatch.SetSingleWriter(true) // serialized by s.mu
 		ep.vcis[i] = s
 	}
 	ep.evCond = sync.NewCond(&ep.evMu)
@@ -435,10 +490,13 @@ type ViewReleaser interface {
 // deposit lands an incoming message at interface v of this endpoint:
 // match against the posted queue or buffer as unexpected. Called from
 // the sender's goroutine; data is borrowed from the caller for the
-// duration of the call. A message that matches a posted receive copies
-// straight into the receive buffer — no intermediate copy exists on the
-// fast path; only an unexpected message pays for a (pooled) buffered
-// copy. A match against a stale replica of an already-claimed wildcard
+// duration of the call. It records only into the VCI's own state under
+// its lock, never into the receiving rank's registry: the message's
+// flight events are recorded by the receiver (reap for a deposit, the
+// extracting call for an unexpected message). A message that matches a
+// posted receive copies straight into the receive buffer — no
+// intermediate copy exists on the fast path; only an unexpected message
+// pays for a (pooled) buffered copy. A match against a stale replica of an already-claimed wildcard
 // receive re-offers the message until it finds a live consumer.
 // A non-nil rel marks data as a zero-copy handoff view: it stays valid
 // until rel is released, so the unexpected path parks it without a
@@ -446,21 +504,12 @@ type ViewReleaser interface {
 // once the receive consumed it.
 func (ep *Endpoint) deposit(v int, bits match.Bits, src int, data []byte, arrival vtime.Time, via via, rel ViewReleaser) {
 	v = ep.norm(v)
-	switch via {
-	case viaShm:
-		ep.m.ShmRecv.Note(len(data))
-	case viaSelf:
-		// Self-loop traffic is counted once, at delivery.
-		ep.m.Self.Note(len(data))
-	default:
-		ep.m.NetRecv.Note(len(data))
-	}
 	s := ep.vcis[v]
 	var fireRel ViewReleaser
 	fireCopied := false
 	s.mu.Lock()
-	s.stats.Msgs++
-	s.stats.Bytes += int64(len(data))
+	// Self-loop traffic is counted once, here at delivery.
+	note(&s.rx.paths[via], len(data))
 	for {
 		m := s.getMessage()
 		entry, ok := s.eng.Arrive(bits, m)
@@ -472,17 +521,18 @@ func (ep *Endpoint) deposit(v int, bits match.Bits, src int, data []byte, arriva
 				m.data = data
 				m.rel = rel
 			} else {
-				buf := s.pool.get(len(data), ep.m)
+				buf := s.pool.get(len(data), &s.rx)
 				copy(buf, data)
 				m.data = buf
 				if len(data) > 0 {
-					ep.m.CopiesStaged.Note(len(data))
+					note(&s.rx.staged, len(data))
 				}
 			}
 			m.arrival = arrival
 			m.gseq = atomic.AddUint64(&ep.gctr, 1)
-			ep.m.MaxUnexpected(s.eng.UnexpectedLen())
-			ep.m.Flight.Record(flight.Unexpected, int64(arrival), src, len(data), v)
+			if n := int64(s.eng.UnexpectedLen()); n > s.rx.unexMax {
+				s.rx.unexMax = n
+			}
 			break
 		}
 		s.putMessage(m)
@@ -496,24 +546,21 @@ func (ep *Endpoint) deposit(v int, bits match.Bits, src int, data []byte, arriva
 			ep.addStale(op)
 		}
 		// Post→match: how long the receive sat posted before its
-		// message arrived. Observed into the receiving rank's
-		// registry from the depositing goroutine (hist is atomic);
-		// op.posted is ordered by the engine insertion under s.mu.
-		ep.m.Lat.PostMatch.Observe(int64(arrival - op.posted))
+		// message arrived. op.posted is ordered by the engine
+		// insertion under s.mu.
 		s.postMatch.Observe(int64(arrival - op.posted))
-		// A pre-posted match never touches the unexpected queue:
-		// observe zero residency so the two distributions stay
-		// message-count symmetric.
-		ep.m.Lat.UnexRes.Observe(0)
-		ep.m.Flight.Record(flight.Deposit, int64(arrival), src, len(data), v)
-		ep.completeRecv(op, bits, data, arrival)
+		// A pre-posted match never touches the unexpected queue: it
+		// counts as a zero residency (bucket 0 at snapshot) so the
+		// two distributions stay message-count symmetric.
+		s.rx.deposited++
+		op.deposited = true
+		ep.completeRecv(s, v, op, bits, data, arrival)
 		if rel != nil {
 			fireRel, fireCopied = rel, op.Fold == nil
 		}
 		break
 	}
-	s.eventSeq++
-	s.stats.Events++
+	atomic.AddUint64(&s.eventSeq, 1)
 	s.cond.Broadcast()
 	s.mu.Unlock()
 	ep.bumpAgg()
@@ -612,8 +659,7 @@ func (ep *Endpoint) WakeVCI(v int) {
 func (ep *Endpoint) wakeVCI(v int) {
 	s := ep.vcis[v]
 	s.mu.Lock()
-	s.eventSeq++
-	s.stats.Events++
+	atomic.AddUint64(&s.eventSeq, 1)
 	s.cond.Broadcast()
 	s.mu.Unlock()
 }
@@ -653,12 +699,11 @@ func (ep *Endpoint) WaitEvent(last uint64) uint64 {
 // EventSeqVCI returns one interface's event counter: it moves only on
 // that VCI's deposits and wakes (plus endpoint-wide wakes and active
 // messages), so a waiter parked on it is not disturbed by unrelated
-// traffic on other VCIs.
+// traffic on other VCIs. It is one atomic load: WaitEventVCI re-checks
+// the counter under the VCI lock that every increment holds, so a
+// value read here can only be stale in the safe direction.
 func (ep *Endpoint) EventSeqVCI(v int) uint64 {
-	s := ep.vcis[ep.norm(v)]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.eventSeq
+	return atomic.LoadUint64(&ep.vcis[ep.norm(v)].eventSeq)
 }
 
 // WaitEventVCI blocks until interface v's event counter moves past
@@ -691,12 +736,12 @@ func (ep *Endpoint) WaitEventVCI(v int, last uint64) uint64 {
 
 // completeRecv consumes a (borrowed) payload into the receive buffer —
 // the final direct copy, or an in-place fold when the op carries one —
-// and fills results. Caller holds the lock of the VCI delivering the
-// message; the atomic done.Store publishes the result fields to
+// and fills results. Caller holds the lock of s, the VCI v delivering
+// the message; the atomic done.Store publishes the result fields to
 // whichever goroutine observes completion. The source reported is the
 // MPI-level source the sender encoded in the match bits (its
 // communicator rank), not the transport address.
-func (ep *Endpoint) completeRecv(op *RecvOp, bits match.Bits, data []byte, arrival vtime.Time) {
+func (ep *Endpoint) completeRecv(s *vci, v int, op *RecvOp, bits match.Bits, data []byte, arrival vtime.Time) {
 	var n int
 	if op.Fold != nil {
 		n = len(data)
@@ -707,9 +752,10 @@ func (ep *Endpoint) completeRecv(op *RecvOp, bits match.Bits, data []byte, arriv
 	} else {
 		n = copy(op.Buf, data)
 		if n > 0 {
-			ep.m.CopiesDirect.Note(n)
+			note(&s.rx.direct, n)
 		}
 	}
+	op.from = v
 	op.N = n
 	op.Truncated = n < len(data)
 	op.Src = bits.Source()
@@ -751,10 +797,10 @@ func (ep *Endpoint) PostRecvVCI(op *RecvOp, bits match.Bits, mask match.Bits, v 
 		// since m.arrival on the unexpected queue; the receive itself
 		// waited zero.
 		ep.m.Lat.UnexRes.Observe(int64(now - m.arrival))
-		ep.m.Lat.PostMatch.Observe(0)
 		s.postMatch.Observe(0)
+		ep.recordUnexpected(m, v)
 		ep.m.Flight.Record(flight.UnexHit, int64(now), m.src, len(m.data), v)
-		ep.completeRecv(op, entry.Bits, m.data, m.arrival)
+		ep.completeRecv(s, v, op, entry.Bits, m.data, m.arrival)
 		fireRel = s.consumeMessage(m)
 	} else {
 		ep.m.MaxPosted(s.eng.PostedLen())
@@ -766,6 +812,13 @@ func (ep *Endpoint) PostRecvVCI(op *RecvOp, bits match.Bits, mask match.Bits, v 
 	if fireRel != nil {
 		fireRel.Release(op.Fold == nil)
 	}
+}
+
+// recordUnexpected records, on the receiver's goroutine, the flight
+// event of an unexpected message it is taking off the queue: the
+// message was buffered at m.arrival by the depositing peer.
+func (ep *Endpoint) recordUnexpected(m *message, v int) {
+	ep.m.Flight.Record(flight.Unexpected, int64(m.arrival), m.src, len(m.data), v)
 }
 
 // recvPeer is the flight-recorder peer of a posted receive: the
@@ -812,10 +865,10 @@ func (ep *Endpoint) postRecvMulti(op *RecvOp, bits, mask match.Bits) {
 		m := entry.Cookie.(*message)
 		now := ep.meter.Now()
 		ep.m.Lat.UnexRes.Observe(int64(now - m.arrival))
-		ep.m.Lat.PostMatch.Observe(0)
 		s.postMatch.Observe(0)
+		ep.recordUnexpected(m, best)
 		ep.m.Flight.Record(flight.UnexHit, int64(now), m.src, len(m.data), best)
-		ep.completeRecv(op, entry.Bits, m.data, m.arrival)
+		ep.completeRecv(s, best, op, entry.Bits, m.data, m.arrival)
 		fireRel = s.consumeMessage(m)
 	} else {
 		for _, s := range ep.vcis {
@@ -902,6 +955,12 @@ func (ep *Endpoint) reap(op *RecvOp) {
 	ep.m.Lat.WaitPark.Observe(int64(op.Arrival - now))
 	ep.meter.Sync(op.Arrival)
 	ep.meter.ChargeCycles(instr.Transport, ep.f.prof.RecvComplete)
+	if op.deposited {
+		// The deposit happened at op.Arrival on the delivering
+		// interface, possibly on the sender's goroutine; the owner
+		// records it now.
+		ep.m.Flight.Record(flight.Deposit, int64(op.Arrival), op.Src, op.N, op.from)
+	}
 	ep.m.Flight.Record(flight.RecvDone, int64(ep.meter.Now()), op.Src, op.N, op.vci)
 }
 
@@ -1009,7 +1068,11 @@ func (ep *Endpoint) MProbeVCI(bits, mask match.Bits, v int) (src, tag int, data 
 		if hit {
 			m := entry.Cookie.(*message)
 			src, tag, data, arrival = entry.Bits.Source(), entry.Bits.Tag(), m.data, m.arrival
+			// A matched probe is the receive of a waiting message:
+			// it closes both spans, like PostRecv's unexpected hit.
 			ep.m.Lat.UnexRes.Observe(int64(ep.meter.Now() - m.arrival))
+			s.postMatch.Observe(0)
+			ep.recordUnexpected(m, v)
 			data, fireRel = ep.ownMProbeData(m)
 			s.putMessage(m)
 		}
@@ -1041,6 +1104,8 @@ func (ep *Endpoint) MProbeVCI(bits, mask match.Bits, v int) (src, tag int, data 
 		m := entry.Cookie.(*message)
 		src, tag, data, arrival, ok = entry.Bits.Source(), entry.Bits.Tag(), m.data, m.arrival, true
 		ep.m.Lat.UnexRes.Observe(int64(ep.meter.Now() - m.arrival))
+		s.postMatch.Observe(0)
+		ep.recordUnexpected(m, best)
 		data, fireRel = ep.ownMProbeData(m)
 		s.putMessage(m)
 	}
@@ -1185,27 +1250,33 @@ func (ep *Endpoint) MatchBinOps() int64 {
 	return n
 }
 
-// vciStats copies each interface's traffic counters, taking the VCI
-// locks one at a time.
-func (ep *Endpoint) vciStats() []metrics.VCIStat {
-	out := make([]metrics.VCIStat, len(ep.vcis))
-	for i, s := range ep.vcis {
-		s.mu.Lock()
-		out[i] = s.stats
-		s.mu.Unlock()
-		out[i].PostMatch = s.postMatch.Snapshot()
-	}
-	return out
-}
-
-// SnapshotStats snapshots the bound rank's registry (atomic throughout,
-// so no endpoint lock is needed) and attaches the per-VCI traffic
-// split. Devices that match in software at the MPI layer fold their own
+// SnapshotStats snapshots the bound rank's registry and folds in what
+// each interface recorded on its own: the receive-side block, the
+// post→match histogram (Lat.PostMatch is the merge of the per-VCI
+// ones), the deposit-matched zero residencies (bucket 0 of
+// Lat.UnexRes), and the per-VCI traffic split. The VCI locks are taken
+// one at a time. The rank registry is read directly, so with a single
+// writer only the owning rank may call this on a live endpoint.
+// Devices that match in software at the MPI layer fold their own
 // engine first and call this.
 func (ep *Endpoint) SnapshotStats() metrics.Snapshot {
-	s := ep.m.Snapshot()
-	s.VCIs = ep.vciStats()
-	return s
+	var rx metrics.Snapshot
+	vcis := make([]metrics.VCIStat, len(ep.vcis))
+	for i, s := range ep.vcis {
+		s.mu.Lock()
+		part := s.snapshot()
+		for _, p := range s.rx.paths {
+			vcis[i].Msgs += p.Msgs
+			vcis[i].Bytes += p.Bytes
+		}
+		vcis[i].Events = int64(s.eventSeq)
+		s.mu.Unlock()
+		vcis[i].PostMatch = part.Lat.PostMatch
+		rx = rx.Merge(part)
+	}
+	snap := ep.m.Snapshot().Merge(rx)
+	snap.VCIs = vcis
+	return snap
 }
 
 // FoldAndSnapshot sums the per-VCI matching engines' counters into the

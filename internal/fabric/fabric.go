@@ -28,14 +28,15 @@ type Meter interface {
 	Now() vtime.Time
 	// Sync advances the rank's clock to t if t is in the future.
 	Sync(t vtime.Time)
-	// Metrics returns the rank's observability registry. Send-side
-	// counters accrue through the calling endpoint's meter;
-	// receive-side counters accrue through the destination endpoint's
-	// meter under that endpoint's lock.
+	// Metrics returns the rank's observability registry, which only
+	// the rank's own goroutines write. What a sender's deposit records
+	// for the receiver stays in the receiving VCI, under its lock,
+	// until a snapshot folds it in.
 	Metrics() *metrics.Rank
-	// Publish makes the current clock readable from other goroutines
-	// (the state dump). A rank's clock may have a single writer, so
-	// the endpoint calls it on the owner's goroutine before each wait.
+	// Publish makes the current clock and flight ring readable from
+	// other goroutines (the state dump). Both may have a single
+	// writer, so the endpoint calls it on the owner's goroutine before
+	// each wait.
 	Publish()
 }
 

@@ -81,3 +81,73 @@ func TestAmRecvCountsAtDelivery(t *testing.T) {
 		t.Fatalf("AmRecv after delivery = %+v, want {1 5}", after.AmRecv)
 	}
 }
+
+// TestSnapshotDuringDepositsSingleWriter is TestSnapshotDuringDeposits
+// with the receiving registry in its single-writer form (a rank below
+// MPI_THREAD_MULTIPLE), receives posted while the peers stream: a
+// deposit that wrote the receiver's registry from a sender's goroutine
+// races the receiver's own plain updates and snapshots under -race.
+// Every message is consumed, so the post→match and unexpected
+// residency distributions both count each one exactly once.
+func TestSnapshotDuringDepositsSingleWriter(t *testing.T) {
+	const senders, msgs = 3, 300
+	f := New(INF, senders+1)
+	ms := make([]*testMeter, senders+1)
+	for i := range ms {
+		ms[i] = newTestMeter(1e9)
+		f.Endpoint(i).Bind(ms[i])
+	}
+	ms[0].m.SetSingleWriter(true)
+	f.Endpoint(0).RegisterAM(9, func(int, []byte, []byte, vtime.Time) {})
+
+	var wg sync.WaitGroup
+	for s := 1; s <= senders; s++ {
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			for i := 0; i < msgs; i++ {
+				f.Endpoint(s).TaggedSend(0, match.MakeBits(1, s, i), []byte{byte(s), byte(i)})
+				f.Endpoint(s).AMSend(0, 9, []byte{1}, nil)
+			}
+		}(s)
+	}
+	ep := f.Endpoint(0)
+	buf := make([]byte, 2)
+	for i := 0; i < msgs; i++ {
+		for s := 1; s <= senders; s++ {
+			var op RecvOp
+			op.Buf = buf
+			ep.PostRecv(&op, match.MakeBits(1, s, i), match.FullMask)
+			ep.WaitRecv(&op)
+			if op.N != 2 || buf[0] != byte(s) || buf[1] != byte(i) {
+				t.Fatalf("recv (%d,%d) got %v", s, i, buf[:op.N])
+			}
+			_ = ep.FoldAndSnapshot()
+		}
+	}
+	wg.Wait()
+	ep.Progress()
+
+	snap := ep.FoldAndSnapshot()
+	const total = senders * msgs
+	if snap.NetRecv.Msgs != total || snap.NetRecv.Bytes != 2*total {
+		t.Fatalf("NetRecv = %+v, want {%d %d}", snap.NetRecv, total, 2*total)
+	}
+	if snap.AmRecv.Msgs != total {
+		t.Fatalf("AmRecv.Msgs = %d, want %d", snap.AmRecv.Msgs, total)
+	}
+	if snap.Lat.PostMatch.Count != total || snap.Lat.UnexRes.Count != total {
+		t.Fatalf("PostMatch.Count = %d, UnexRes.Count = %d, want %d each",
+			snap.Lat.PostMatch.Count, snap.Lat.UnexRes.Count, total)
+	}
+	if snap.CopiesDirect.Msgs != total {
+		t.Fatalf("CopiesDirect.Msgs = %d, want %d", snap.CopiesDirect.Msgs, total)
+	}
+	var vciMsgs int64
+	for _, v := range snap.VCIs {
+		vciMsgs += v.Msgs
+	}
+	if vciMsgs != total {
+		t.Fatalf("per-VCI msgs sum to %d, want %d", vciMsgs, total)
+	}
+}

@@ -2,14 +2,15 @@
 // histograms over virtual cycles.
 //
 // H is a fixed-size value type: embedding it in a per-rank metrics
-// registry costs no allocation, and every field is updated with atomic
-// adds or a CAS, so peer goroutines (a sender depositing into the
-// receiver's endpoint) can record observations into another rank's
-// histogram without holding that rank's locks. This mirrors the
-// "atomic throughout" contract of internal/metrics. An observation
-// costs two locked adds (its bucket and the sum) plus a load of the
-// maximum, with a CAS only when the maximum grows; the observation
-// count is not stored but summed from the buckets when it is read.
+// registry costs no allocation. How an observation lands depends on
+// who writes, following instr.Profile: a histogram with one writer at
+// a time (a rank below MPI_THREAD_MULTIPLE, or a caller that holds a
+// lock around every write) takes plain adds (SetSingleWriter(true));
+// otherwise, and in the zero value, several goroutines may observe
+// concurrently and an observation costs two locked adds (its bucket
+// and the sum) plus a load of the maximum, with a CAS only when the
+// maximum grows. Readers always load atomically. The observation count
+// is not stored but summed from the buckets when it is read.
 //
 // Buckets are powers of two: bucket i counts observations v with
 // 2^(i-1) < v <= 2^i (bucket 0 counts v <= 1, which includes zero).
@@ -28,12 +29,20 @@ import (
 const NumBuckets = 64
 
 // H is a log2-bucketed histogram. The zero value is an empty
-// histogram ready for use. All methods are safe for concurrent use.
+// histogram ready for use, safe for concurrent observers.
 type H struct {
-	buckets [NumBuckets]atomic.Int64
-	sum     atomic.Int64
-	max     atomic.Int64
+	_       [0]atomic.Int64   // 64-bit aligns the atomic form on 32-bit platforms
+	buckets [NumBuckets]int64 // atomic unless single
+	sum     int64
+	max     int64
+	single  bool
 }
+
+// SetSingleWriter selects plain updates (true) or atomic ones (false)
+// for subsequent observations. With plain updates observations must
+// not overlap: one goroutine writes (and reads), or every write and
+// read holds the same lock. Call before the first observation.
+func (h *H) SetSingleWriter(single bool) { h.single = single }
 
 // bucketOf maps a non-negative value to its bucket index.
 func bucketOf(v int64) int {
@@ -56,11 +65,24 @@ func (h *H) Observe(v int64) {
 	if v < 0 {
 		v = 0
 	}
-	h.buckets[bucketOf(v)].Add(1)
-	h.sum.Add(v)
+	if h.single {
+		h.buckets[bucketOf(v)]++
+		h.sum += v
+		if v > h.max {
+			h.max = v
+		}
+		return
+	}
+	atomic.AddInt64(&h.buckets[bucketOf(v)], 1)
+	atomic.AddInt64(&h.sum, v)
+	maxInt64(&h.max, v)
+}
+
+// maxInt64 raises *p to v with a CAS loop.
+func maxInt64(p *int64, v int64) {
 	for {
-		cur := h.max.Load()
-		if v <= cur || h.max.CompareAndSwap(cur, v) {
+		cur := atomic.LoadInt64(p)
+		if v <= cur || atomic.CompareAndSwapInt64(p, cur, v) {
 			return
 		}
 	}
@@ -70,16 +92,16 @@ func (h *H) Observe(v int64) {
 func (h *H) Count() int64 {
 	var n int64
 	for i := range h.buckets {
-		n += h.buckets[i].Load()
+		n += atomic.LoadInt64(&h.buckets[i])
 	}
 	return n
 }
 
 // Sum returns the sum of all observed values.
-func (h *H) Sum() int64 { return h.sum.Load() }
+func (h *H) Sum() int64 { return atomic.LoadInt64(&h.sum) }
 
 // Max returns the largest observed value (zero when empty).
-func (h *H) Max() int64 { return h.max.Load() }
+func (h *H) Max() int64 { return atomic.LoadInt64(&h.max) }
 
 // Percentile returns a conservative estimate of the p-th percentile
 // (0 < p <= 100): the upper bound of the bucket containing that
@@ -97,23 +119,18 @@ func bucketUpper(i int) int64 {
 	return int64(1) << uint(i)
 }
 
-// Merge adds o's observations into h. o is read with atomic loads, so
-// merging a live histogram yields a coherent-enough snapshot (each
-// field individually consistent), and merging quiesced shards is exact.
+// Merge adds o's observations into h with atomic updates. o is read
+// with atomic loads, so merging a live shared histogram yields a
+// coherent-enough snapshot (each field individually consistent), and
+// merging quiesced shards is exact.
 func (h *H) Merge(o *H) {
 	for i := 0; i < NumBuckets; i++ {
-		if v := o.buckets[i].Load(); v != 0 {
-			h.buckets[i].Add(v)
+		if v := atomic.LoadInt64(&o.buckets[i]); v != 0 {
+			atomic.AddInt64(&h.buckets[i], v)
 		}
 	}
-	h.sum.Add(o.sum.Load())
-	om := o.max.Load()
-	for {
-		cur := h.max.Load()
-		if om <= cur || h.max.CompareAndSwap(cur, om) {
-			break
-		}
-	}
+	atomic.AddInt64(&h.sum, atomic.LoadInt64(&o.sum))
+	maxInt64(&h.max, atomic.LoadInt64(&o.max))
 }
 
 // Snapshot is a plain-value copy of a histogram with derived
@@ -139,9 +156,9 @@ func (h *H) Snapshot() Snapshot {
 // load copies the buckets, sum and max, deriving Count from the
 // copied buckets so the count and the distribution always agree.
 func (h *H) load() Snapshot {
-	s := Snapshot{Sum: h.sum.Load(), Max: h.max.Load()}
+	s := Snapshot{Sum: h.Sum(), Max: h.Max()}
 	for i := range h.buckets {
-		s.Buckets[i] = h.buckets[i].Load()
+		s.Buckets[i] = atomic.LoadInt64(&h.buckets[i])
 		s.Count += s.Buckets[i]
 	}
 	return s

@@ -1,6 +1,7 @@
 package hist
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -221,5 +222,39 @@ func TestObserveAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("Observe allocates: %g allocs/op", allocs)
+	}
+}
+
+// TestSingleWriterMatchesShared: plain and atomic observations of the
+// same stream give the same histogram, and the zero value stays the
+// concurrent-safe form (TestConcurrentObserve runs on it).
+func TestSingleWriterMatchesShared(t *testing.T) {
+	var shared, single H
+	single.SetSingleWriter(true)
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 5000; i++ {
+		v := rng.Int63n(1<<24) - 16 // a few negatives: clamped alike
+		shared.Observe(v)
+		single.Observe(v)
+	}
+	if a, b := shared.Snapshot(), single.Snapshot(); a != b {
+		t.Fatalf("single-writer snapshot differs:\nshared %+v\nsingle %+v", a, b)
+	}
+	if n := testing.AllocsPerRun(1000, func() { single.Observe(42) }); n != 0 {
+		t.Fatalf("single-writer Observe allocates %.1f per call", n)
+	}
+}
+
+// BenchmarkObserve prices one observation in the atomic form (the zero
+// value) and the single-writer form.
+func BenchmarkObserve(b *testing.B) {
+	for _, single := range []bool{false, true} {
+		b.Run(fmt.Sprintf("single=%v", single), func(b *testing.B) {
+			var h H
+			h.SetSingleWriter(single)
+			for i := 0; i < b.N; i++ {
+				h.Observe(int64(i & 1023))
+			}
+		})
 	}
 }

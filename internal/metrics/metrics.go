@@ -1,14 +1,22 @@
-// Package metrics is the per-rank observability registry: counters and
-// high-water gauges updated by the transports, the matching engine, the
-// pools, and the devices as traffic flows. The registry is
-// allocation-free; every counter is an int64 field updated with an
-// atomic add, so it is safe both for the owning rank's goroutine and
-// for peers attributing receive-side traffic — and, under
-// MPI_THREAD_MULTIPLE, for several application goroutines driving one
-// rank concurrently across different VCIs. Enabling metrics costs a few
-// uncontended atomic adds on the hot paths and nothing else. Cross-rank
-// aggregation happens only at teardown, when each rank's registry is
-// snapshotted and merged (see DESIGN.md §6a).
+// Package metrics is the per-rank observability registry: counters,
+// high-water gauges, latency histograms and the flight recorder,
+// updated by the transports, the matching engine, the pools, and the
+// devices as traffic flows. The registry is allocation-free.
+//
+// Only the rank's own goroutines write its registry: receive-side
+// traffic that a sender's goroutine lands (fabric deposits) is counted
+// in the receiving endpoint's per-VCI state under that VCI's lock and
+// folded in when the endpoint is snapshotted. How a write lands then
+// depends on the thread level, following instr.Profile: below
+// MPI_THREAD_MULTIPLE the rank's one goroutine is the sole writer and
+// every counter, histogram and flight event is a plain update
+// (SetSingleWriter(true)); under MPI_THREAD_MULTIPLE several
+// application goroutines drive one rank across different VCIs, and
+// each update is an atomic add (a CAS for maxima, a mutex for the
+// flight ring). The zero value is the shared form. Snapshot loads
+// atomically; with a single writer only the owner snapshots a live
+// registry. Cross-rank aggregation happens only at teardown, when each
+// rank's registry is snapshotted and merged (see DESIGN.md §6a).
 package metrics
 
 import (
@@ -19,13 +27,21 @@ import (
 )
 
 // PathStat counts messages and payload bytes on one transport path.
+// The zero value notes with atomic adds; Rank.SetSingleWriter switches
+// a registry's paths to plain adds.
 type PathStat struct {
-	Msgs  int64 `json:"msgs"`
-	Bytes int64 `json:"bytes"`
+	Msgs   int64 `json:"msgs"`
+	Bytes  int64 `json:"bytes"`
+	single bool
 }
 
 // Note records one message of n payload bytes.
 func (p *PathStat) Note(n int) {
+	if p.single {
+		p.Msgs++
+		p.Bytes += int64(n)
+		return
+	}
 	atomic.AddInt64(&p.Msgs, 1)
 	atomic.AddInt64(&p.Bytes, int64(n))
 }
@@ -102,8 +118,9 @@ var CollAlgoNames = [NumCollAlgos]string{
 }
 
 // Rank is one rank's live registry. Writers use the Note*/Max* methods
-// (atomic adds and CAS maxima); readers take a Snapshot. The zero value
-// is ready to use.
+// (plain adds with a single writer, otherwise atomic adds and CAS
+// maxima); readers take a Snapshot. The zero value is ready to use in
+// the shared form.
 type Rank struct {
 	// Transport paths. Self-loop traffic is counted once, at delivery.
 	// Send-side counters accrue on the sending rank, receive-side
@@ -149,7 +166,9 @@ type Rank struct {
 	PostedMax     int64
 
 	// Payload buffer pool, per size class, plus buffers too large for
-	// any class (allocated and dropped, never pooled).
+	// any class (allocated and dropped, never pooled). The fabric
+	// counts its pool per VCI, under the VCI lock, and adds those
+	// counts when it snapshots the rank.
 	PoolHits     [NumPoolClasses]int64
 	PoolMisses   [NumPoolClasses]int64
 	PoolOversize int64
@@ -196,8 +215,8 @@ type Rank struct {
 
 	// Latency decomposition: log2-bucketed histograms over virtual
 	// cycles at the message lifecycle points the paper's Figure 2
-	// attributes time to. All hist.H operations are atomic, so peers
-	// depositing into this rank's endpoint may record here directly.
+	// attributes time to. Like every field here they are written by
+	// the rank's own goroutines only.
 	Lat Latency
 
 	// Flight is the rank's always-on flight recorder: a fixed ring of
@@ -205,6 +224,58 @@ type Rank struct {
 	// teardown, watchdog trip). Living in the registry threads it
 	// through every transport without new interfaces.
 	Flight flight.Ring
+
+	single bool // one writer: plain updates (see SetSingleWriter)
+}
+
+// SetSingleWriter selects plain updates (true) or atomic ones (false)
+// for every counter, histogram and the flight ring of the registry.
+// With plain updates only the owning goroutine may write or snapshot
+// the registry; other goroutines read only the flight ring, which the
+// owner publishes with Flight.Flush. Call before the rank starts
+// recording.
+func (r *Rank) SetSingleWriter(single bool) {
+	r.single = single
+	for _, p := range [...]*PathStat{
+		&r.Self, &r.ShmSend, &r.ShmRecv, &r.NetSend, &r.NetRecv,
+		&r.Eager, &r.Rndv, &r.AmSend, &r.AmRecv,
+		&r.CopiesStaged, &r.CopiesDirect, &r.ShmHandoff,
+	} {
+		p.single = single
+	}
+	for _, h := range [...]*hist.H{
+		&r.Lat.PostMatch, &r.Lat.UnexRes, &r.Lat.RndvRTT, &r.Lat.ReqLife,
+		&r.Lat.WaitPark, &r.Lat.HandoffRTT, &r.Lat.EpochFlush, &r.Lat.NotifyWait,
+	} {
+		h.SetSingleWriter(single)
+	}
+	r.Flight.SetSingleWriter(single)
+}
+
+// add adds n to one of the registry's counters and returns the new
+// value.
+func (r *Rank) add(p *int64, n int64) int64 {
+	if r.single {
+		*p += n
+		return *p
+	}
+	return atomic.AddInt64(p, n)
+}
+
+// max raises one of the registry's high-water gauges to n.
+func (r *Rank) max(p *int64, n int64) {
+	if r.single {
+		if n > *p {
+			*p = n
+		}
+		return
+	}
+	for {
+		cur := atomic.LoadInt64(p)
+		if n <= cur || atomic.CompareAndSwapInt64(p, cur, n) {
+			return
+		}
+	}
 }
 
 // Latency holds one rank's span histograms. Each span is a difference
@@ -238,37 +309,18 @@ type Latency struct {
 	NotifyWait hist.H
 }
 
-// maxInt64 raises *p to n with a CAS loop.
-func maxInt64(p *int64, n int64) {
-	for {
-		cur := atomic.LoadInt64(p)
-		if n <= cur || atomic.CompareAndSwapInt64(p, cur, n) {
-			return
-		}
-	}
-}
-
 // MaxUnexpected raises the unexpected-queue high water to n.
-func (r *Rank) MaxUnexpected(n int) { maxInt64(&r.UnexpectedMax, int64(n)) }
+func (r *Rank) MaxUnexpected(n int) { r.max(&r.UnexpectedMax, int64(n)) }
 
 // MaxPosted raises the posted-queue high water to n.
-func (r *Rank) MaxPosted(n int) { maxInt64(&r.PostedMax, int64(n)) }
-
-// NotePoolHit counts a buffer-pool hit in size class i.
-func (r *Rank) NotePoolHit(i int) { atomic.AddInt64(&r.PoolHits[i], 1) }
-
-// NotePoolMiss counts a buffer-pool miss in size class i.
-func (r *Rank) NotePoolMiss(i int) { atomic.AddInt64(&r.PoolMisses[i], 1) }
-
-// NotePoolOversize counts an unpoolable oversize buffer allocation.
-func (r *Rank) NotePoolOversize() { atomic.AddInt64(&r.PoolOversize, 1) }
+func (r *Rank) MaxPosted(n int) { r.max(&r.PostedMax, int64(n)) }
 
 // NoteReqAlloc counts a request-pool get; reused says whether it came
 // off the freelist.
 func (r *Rank) NoteReqAlloc(reused bool) {
-	atomic.AddInt64(&r.ReqAllocs, 1)
+	r.add(&r.ReqAllocs, 1)
 	if reused {
-		atomic.AddInt64(&r.ReqReuses, 1)
+		r.add(&r.ReqReuses, 1)
 	}
 }
 
@@ -278,39 +330,39 @@ func (r *Rank) NoteColl(algo int, n int64) {
 	if algo < 0 || algo >= NumCollAlgos {
 		return
 	}
-	atomic.AddInt64(&r.CollCalls[algo], 1)
-	atomic.AddInt64(&r.CollBytes[algo], n)
+	r.add(&r.CollCalls[algo], 1)
+	r.add(&r.CollBytes[algo], n)
 }
 
 // NoteSchedCache counts one schedule-cache lookup: hit replays a
 // compiled schedule, miss compiles (and usually caches) a fresh one.
 func (r *Rank) NoteSchedCache(hit bool) {
 	if hit {
-		atomic.AddInt64(&r.SchedCacheHits, 1)
+		r.add(&r.SchedCacheHits, 1)
 	} else {
-		atomic.AddInt64(&r.SchedCacheMisses, 1)
+		r.add(&r.SchedCacheMisses, 1)
 	}
 }
 
 // NotePartitionsReady counts n partition-ready publications on a
 // partitioned send.
 func (r *Rank) NotePartitionsReady(n int) {
-	atomic.AddInt64(&r.PartitionsReady, int64(n))
+	r.add(&r.PartitionsReady, int64(n))
 }
 
 // NoteRmaPut / NoteRmaGet / NoteRmaAcc / NoteRmaGetAcc count one-sided
 // operations at the device ADI entry.
-func (r *Rank) NoteRmaPut()    { atomic.AddInt64(&r.RmaPuts, 1) }
-func (r *Rank) NoteRmaGet()    { atomic.AddInt64(&r.RmaGets, 1) }
-func (r *Rank) NoteRmaAcc()    { atomic.AddInt64(&r.RmaAccs, 1) }
-func (r *Rank) NoteRmaGetAcc() { atomic.AddInt64(&r.RmaGetAccs, 1) }
+func (r *Rank) NoteRmaPut()    { r.add(&r.RmaPuts, 1) }
+func (r *Rank) NoteRmaGet()    { r.add(&r.RmaGets, 1) }
+func (r *Rank) NoteRmaAcc()    { r.add(&r.RmaAccs, 1) }
+func (r *Rank) NoteRmaGetAcc() { r.add(&r.RmaGetAccs, 1) }
 
 // NoteRmaFlush / NoteRmaLockAll / NoteRmaNotify count the flush-based
 // synchronization primitives: any Flush variant, a single-epoch
 // LockAll open, a notified-access token sent.
-func (r *Rank) NoteRmaFlush()   { atomic.AddInt64(&r.RmaFlushes, 1) }
-func (r *Rank) NoteRmaLockAll() { atomic.AddInt64(&r.RmaLockAlls, 1) }
-func (r *Rank) NoteRmaNotify()  { atomic.AddInt64(&r.RmaNotifies, 1) }
+func (r *Rank) NoteRmaFlush()   { r.add(&r.RmaFlushes, 1) }
+func (r *Rank) NoteRmaLockAll() { r.add(&r.RmaLockAlls, 1) }
+func (r *Rank) NoteRmaNotify()  { r.add(&r.RmaNotifies, 1) }
 
 // NotePeerState accounts the materialization of per-peer state: bytes
 // of modeled state added (a connection slot, a shm ring), with newPeer
@@ -319,13 +371,13 @@ func (r *Rank) NoteRmaNotify()  { atomic.AddInt64(&r.RmaNotifies, 1) }
 // ceiling without a second load.
 func (r *Rank) NotePeerState(newPeer bool, bytes int64) int64 {
 	if newPeer {
-		atomic.AddInt64(&r.PeersTouched, 1)
+		r.add(&r.PeersTouched, 1)
 	}
-	return atomic.AddInt64(&r.PeerStateBytes, bytes)
+	return r.add(&r.PeerStateBytes, bytes)
 }
 
 // StoreMatch stores the matching-engine counters (devices fold their
-// engines in before snapshotting).
+// engines in before snapshotting, on the owner's goroutine).
 func (r *Rank) StoreMatch(binOps, searches, binHits, wildHits int64) {
 	atomic.StoreInt64(&r.MatchBinOps, binOps)
 	atomic.StoreInt64(&r.MatchSearches, searches)

@@ -61,14 +61,16 @@ func (w *World) SetInstrCPI(cpi float64) {
 
 // SetThreadMultiple declares the job's thread level. Below
 // MPI_THREAD_MULTIPLE (tm false) only each rank's own goroutine writes
-// its clock and instruction profile, so charges become plain adds and
-// other goroutines see the clock through Published. Must be called
-// before Run.
+// its clock, instruction profile and metrics registry, so charges and
+// telemetry become plain updates and other goroutines see the clock
+// through Published and the flight ring as of the last Publish. Must
+// be called before Run.
 func (w *World) SetThreadMultiple(tm bool) {
 	for _, r := range w.ranks {
 		r.single = !tm
 		r.prof.SetSingleWriter(!tm)
 		r.clock.SetSingleWriter(!tm)
+		r.m.SetSingleWriter(!tm)
 	}
 }
 
@@ -180,11 +182,15 @@ func (r *Rank) Now() vtime.Time { return r.clock.Now() }
 func (r *Rank) Sync(t vtime.Time) { r.clock.Sync(t) }
 
 // Publish makes the rank's current clock visible to other goroutines
-// through Published. A single-writer clock is updated with plain adds,
-// so the owner publishes at the points where another goroutine may
-// read it: before each transport wait (the transports call it through
-// their Meter) and when the rank body returns.
-func (r *Rank) Publish() { r.pub.Store(int64(r.clock.Now())) }
+// through Published, and flushes its flight ring to dump readers. A
+// single-writer clock and ring are updated with plain writes, so the
+// owner publishes at the points where another goroutine may read
+// them: before each transport wait (the transports call it through
+// their Meter), when the rank body returns, and on abort and dump.
+func (r *Rank) Publish() {
+	r.pub.Store(int64(r.clock.Now()))
+	r.m.Flight.Flush()
+}
 
 // Published returns the rank's clock for a reader on any goroutine:
 // the value of the last Publish for a single-writer clock, the live

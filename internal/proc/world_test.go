@@ -9,6 +9,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"gompi/internal/flight"
 	"gompi/internal/instr"
 	"gompi/internal/vtime"
 )
@@ -292,5 +293,29 @@ func TestPublishedClock(t *testing.T) {
 	}
 	if got := w.Rank(1).Published(); got != 1000 {
 		t.Errorf("rank 1 Published after Run = %d, want 1000", got)
+	}
+}
+
+// TestPublishFlushesFlight: the thread level selects the registry's
+// form too. Below MPI_THREAD_MULTIPLE the flight ring is published with
+// the clock, so a dump reader sees events only as of the last Publish;
+// under it every event is visible at once.
+func TestPublishFlushesFlight(t *testing.T) {
+	for _, tm := range []bool{false, true} {
+		w := NewWorld(1, 1, 2.2e9)
+		w.SetThreadMultiple(tm)
+		r := w.Rank(0)
+		r.Metrics().Flight.Record(flight.Park, 1, -1, 0, 0)
+		want := uint64(0)
+		if tm {
+			want = 1
+		}
+		if got := r.Metrics().Flight.Total(); got != want {
+			t.Errorf("tm=%v: events visible before Publish = %d, want %d", tm, got, want)
+		}
+		r.Publish()
+		if got := r.Metrics().Flight.Total(); got != 1 {
+			t.Errorf("tm=%v: events visible after Publish = %d, want 1", tm, got)
+		}
 	}
 }

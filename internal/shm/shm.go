@@ -107,8 +107,9 @@ type Meter interface {
 	Now() vtime.Time
 	Sync(t vtime.Time)
 	Metrics() *metrics.Rank
-	// Publish makes the current clock readable from other goroutines
-	// (the state dump). The domain calls it before a sender waits.
+	// Publish makes the current clock and flight ring readable from
+	// other goroutines (the state dump). The domain calls it before a
+	// sender waits.
 	Publish()
 }
 
@@ -292,9 +293,10 @@ type ring struct {
 	hBytes  int
 	hFree   *Handoff
 
-	// Receiver-side reassembly state (consumer-only). cur is a
-	// grow-only scratch reused across messages; delivered payloads are
-	// borrowed slices of it.
+	// Receiver-side reassembly state (consumer-only, under drainMu;
+	// filled is also written under mu, which the dump reads it under).
+	// cur is a grow-only scratch reused across messages; delivered
+	// payloads are borrowed slices of it.
 	cur     []byte
 	curBits match.Bits
 	curVCI  int
@@ -663,6 +665,12 @@ func (d *Domain) drainRing(rank, src int, r *ring, meter Meter) int {
 		if c.arrival > r.arrival {
 			r.arrival = c.arrival
 		}
+		// A complete message leaves reassembly here, under mu: the
+		// wait-graph dump reads filled under mu alone.
+		msgLen := -1
+		if r.filled >= r.curLen {
+			msgLen, r.filled, r.curLen = r.filled, 0, 0
+		}
 		r.head = (r.head + 1) % d.ringCells
 		r.count--
 		r.cond.Broadcast() // free a cell for a blocked producer
@@ -671,13 +679,12 @@ func (d *Domain) drainRing(rank, src int, r *ring, meter Meter) int {
 
 		meter.ChargeCycles(instr.Transport, p.CellOverhead+vtime.Cycles(p.PerByte*float64(n)))
 
-		if r.filled >= r.curLen {
+		if msgLen >= 0 {
 			meter.ChargeCycles(instr.Transport, p.RecvOverhead)
-			data := r.cur[:r.filled]
-			if r.filled > 0 {
-				meter.Metrics().CopiesStaged.Note(r.filled) // ring reassembly
+			data := r.cur[:msgLen]
+			if msgLen > 0 {
+				meter.Metrics().CopiesStaged.Note(msgLen) // ring reassembly
 			}
-			r.filled, r.curLen = 0, 0
 			d.deliver(rank, r.curBits, src, data, r.arrival, r.curVCI)
 			delivered++
 		}
