@@ -1,6 +1,7 @@
 package gompi_test
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -262,5 +263,41 @@ func TestShmPutSteadyStateAllocs(t *testing.T) {
 	}
 	if allocs > 0 {
 		t.Errorf("steady-state 1-byte shm Put allocates %.1f objects/op, want 0", allocs)
+	}
+}
+
+// TestBlockingAllreduceSteadyStateAllocs guards the blocking collective
+// path: a repeated Allreduce on fixed buffers replays the cached
+// schedule and allocates nothing per call. Two jobs that differ only in
+// their call count are measured process-wide and subtracted, so setup
+// cancels; the bound of half an allocation per call and rank leaves
+// room for runtime noise (parking, pool high waters) while failing any
+// per-call allocation.
+func TestBlockingAllreduceSteadyStateAllocs(t *testing.T) {
+	const ranks = 4
+	job := func(calls int) uint64 {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		err := gompi.Run(ranks, gompi.Config{Fabric: "ofi", RanksPerNode: 2}, func(p *gompi.Proc) error {
+			send, recv := make([]byte, 16), make([]byte, 16)
+			for i := 0; i < calls; i++ {
+				if err := p.World().Allreduce(send, recv, 2, gompi.Long, gompi.OpSum); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	const short, long = 500, 2500
+	base, more := job(short), job(long)
+	perCall := (float64(more) - float64(base)) / float64((long-short)*ranks)
+	if perCall > 0.5 {
+		t.Errorf("blocking Allreduce allocates %.2f times per call and rank, want 0", perCall)
 	}
 }

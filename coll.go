@@ -2,9 +2,10 @@ package gompi
 
 import (
 	"gompi/internal/coll"
-	"gompi/internal/comm"
-	"gompi/internal/core"
 	"gompi/internal/metrics"
+	"gompi/internal/nbc"
+	"gompi/internal/trace"
+	"gompi/internal/vtime"
 )
 
 // Op is a predefined reduction operator.
@@ -24,260 +25,369 @@ const (
 	OpNoOp    = coll.OpNoOp
 )
 
-// collPort adapts the device to the machine-independent collective
-// algorithms: blocking matched send/recv on the communicator's
-// collective context. Internal traffic skips the public layer's
-// revalidation, as MPICH's internals do.
-type collPort struct {
-	p  *Proc
-	cv *comm.Comm
+// One collective engine. Every collective has one resolver that
+// validates the arguments, selects the algorithm, builds the
+// schedule-cache key and compiles the nbc schedule on a miss through
+// schedule. A collective with several public forms has it as an xSched
+// method the forms share; one with a blocking form only resolves
+// inline. The forms:
+//
+//   - X (blocking) runs the schedule to completion on the caller's
+//     goroutine (run): no Request, no closures.
+//   - IX (nonblocking) wraps it in a Request progressed off the
+//     request engine (istart, icoll.go).
+//   - XInit (persistent) compiles a private schedule once and replays
+//     it per Start (persistWrap, persistcoll.go).
+//
+// So Config.CollAlgorithm and CollAlgorithmKey mean the same thing for
+// every form of a collective.
+
+// collMode selects how a resolver hands out its schedule.
+type collMode uint8
+
+const (
+	// collCached: blocking and nonblocking calls replay the
+	// communicator's cached schedule for the call's shape, rebound to
+	// the call's buffers, under a fresh tag from the NBC sequence.
+	collCached collMode = iota
+	// collPersist: an Init compiles a private, uncached schedule under
+	// a tag of the persistent-collective range.
+	collPersist
+)
+
+// schedule is the tail every resolver shares. key carries the
+// collective's own shape; send and recv are the caller's buffers
+// exactly as build hands them to the compiler, so a cache hit can
+// rebind the cached steps to them. In collCached mode every call
+// consumes a fresh tag whether or not it hits, so the sequence — and
+// with it the matching tags — advances in lockstep on every rank.
+func (c *Comm) schedule(mode collMode, key nbc.CacheKey, send, recv []byte, build func(tag int) (*nbc.Schedule, error)) (*nbc.Schedule, error) {
+	m := c.p.rank.Metrics()
+	var tag int
+	if mode == collPersist {
+		tag = c.persistTag()
+	} else {
+		tag = c.nbcTag()
+		if s, ok := c.sched.Get(key, send, recv); ok {
+			m.NoteSchedCache(true)
+			s.Reset(tag)
+			return s, nil
+		}
+	}
+	m.NoteSchedCache(false)
+	s, err := build(tag)
+	if err != nil {
+		return nil, errc(ErrArg, "%v", err)
+	}
+	c.traceRounds(s)
+	if mode == collCached {
+		c.sched.Put(key, s, send, recv)
+	}
+	return s, nil
 }
 
-// Rank implements coll.PT2PT.
-func (cp collPort) Rank() int { return cp.cv.MyRank }
+// traceRounds hangs the Chrome-trace round spans off a freshly
+// compiled schedule, once, so replays record them without a per-call
+// closure. Blocking collectives record them inside their TraceColl
+// span.
+func (c *Comm) traceRounds(s *nbc.Schedule) {
+	p := c.p
+	if !p.tlog.Enabled() {
+		return
+	}
+	var roundStart vtime.Time
+	bytes := s.Bytes
+	s.OnRound = func(idx int, start bool) {
+		if start {
+			roundStart = p.rank.Now()
+			return
+		}
+		p.tlog.Record(trace.Event{
+			Kind: trace.KindSched, Peer: idx, Bytes: bytes, VCI: -1,
+			Start: roundStart, End: p.rank.Now(),
+		})
+	}
+}
 
-// Size implements coll.PT2PT.
-func (cp collPort) Size() int { return cp.cv.Size() }
-
-// Send implements coll.PT2PT with a requestless eager send. Payloads
-// above the fabric's eager threshold are segmented into eager-sized
-// fragments (same tag, matched in FIFO order by the symmetric Recv
-// below), so collective sends honor the never-blocks contract instead
-// of entering the rendezvous protocol.
-func (cp collPort) Send(data []byte, dest, tag int) error {
-	lim := cp.p.eagerLimit
-	if lim <= 0 || len(data) <= lim {
-		_, err := cp.p.dev.Isend(data, len(data), Byte, dest, tag, cp.cv, core.FlagNoReq|core.FlagNoProcNull)
+// run is the blocking form of every collective: it drives the resolved
+// schedule to completion on the caller's goroutine.
+func (c *Comm) run(s *nbc.Schedule, err error) error {
+	if err != nil {
 		return err
 	}
-	for off := 0; off < len(data); off += lim {
-		end := off + lim
-		if end > len(data) {
-			end = len(data)
-		}
-		if _, err := cp.p.dev.Isend(data[off:end], end-off, Byte, dest, tag, cp.cv, core.FlagNoReq|core.FlagNoProcNull); err != nil {
-			return err
-		}
-	}
-	return nil
+	c.p.noteColl(s.Algo, s.Bytes)
+	return s.Wait()
 }
 
-// Recv implements coll.PT2PT with a blocking matched receive,
-// reassembling the fragments Send produced (every collective algorithm
-// receives into exact-size buffers, so both sides derive identical
-// fragment boundaries from the payload length).
-func (cp collPort) Recv(buf []byte, src, tag int) (int, error) {
-	lim := cp.p.eagerLimit
-	if lim <= 0 || len(buf) <= lim {
-		return cp.recvOne(buf, src, tag)
-	}
-	total := 0
-	for off := 0; off < len(buf); off += lim {
-		end := off + lim
-		if end > len(buf) {
-			end = len(buf)
-		}
-		n, err := cp.recvOne(buf[off:end], src, tag)
-		total += n
-		if err != nil {
-			return total, err
-		}
-	}
-	return total, nil
+// collExit closes a collective entry: it releases the thread lock and
+// records the traced interval. A value, not a closure, so the entry
+// allocates nothing.
+type collExit struct {
+	unlock func()
+	end    func()
 }
 
-func (cp collPort) recvOne(buf []byte, src, tag int) (int, error) {
-	r, err := cp.p.dev.Irecv(buf, len(buf), Byte, src, tag, cp.cv, core.FlagNoProcNull)
-	if err != nil {
-		return 0, err
+func (x collExit) done() {
+	x.unlock()
+	if x.end != nil {
+		x.end()
 	}
-	r.Wait()
-	n := r.Status.Count
-	trunc := r.Status.Truncated
-	r.Free()
-	if trunc {
-		return n, errc(ErrTruncate, "collective fragment truncated")
-	}
-	return n, nil
 }
-
-// port builds the adapter after the MPI-layer charges for a collective
-// entry.
-func (c *Comm) port() collPort { return collPort{p: c.p, cv: c.c.CollView()} }
 
 // collEnter charges the MPI-layer costs every collective entry pays.
-// The returned func (deferred by the collective) both unlocks and
-// records the traced interval.
-func (c *Comm) collEnter() (func(), error) {
+// The caller defers done on the returned exit.
+func (c *Comm) collEnter() (collExit, error) {
 	p := c.p
-	end := p.span(TraceColl, -1, 0)
+	x := collExit{end: p.span(TraceColl, -1, 0)}
 	p.chargeCall()
-	unlock := p.chargeThread(c.c, false)
-	done := func() {
-		unlock()
-		if end != nil {
-			end()
-		}
-	}
+	x.unlock = p.chargeThread(c.c, false)
 	if p.bc.ErrorChecking {
 		if err := p.checkComm(c); err != nil {
-			done()
-			return nil, err
+			x.done()
+			return collExit{}, err
 		}
 	}
-	return done, nil
+	return x, nil
 }
 
 // Barrier blocks until every rank of the communicator has entered
 // (MPI_BARRIER).
 func (c *Comm) Barrier() error {
-	unlock, err := c.collEnter()
+	x, err := c.collEnter()
 	if err != nil {
 		return err
 	}
-	defer unlock()
-	c.p.noteColl(metrics.CollBarrierDissem, 0)
-	return coll.Barrier(c.port())
+	defer x.done()
+	return c.run(c.barrierSched())
+}
+
+// barrierSched resolves the dissemination barrier.
+func (c *Comm) barrierSched() (*nbc.Schedule, error) {
+	t := c.nbcPort()
+	key := nbc.CacheKey{Kind: nbc.CacheBarrier, Algo: metrics.CollBarrierDissem, Root: -1}
+	return c.schedule(collCached, key, nil, nil, func(tag int) (*nbc.Schedule, error) {
+		return nbc.Barrier(t, tag), nil
+	})
 }
 
 // Bcast broadcasts root's buffer to all ranks (MPI_BCAST). buf must be
 // count elements of dt on every rank; contiguous layouts only (derived
 // types take the pack path in the devices; collectives here move raw
-// bytes, as the machine-independent layer does).
+// bytes, as the machine-independent layer does). Selection is size-
+// and topology-based: two-level on hierarchical layouts, binomial tree
+// for short messages, scatter+ring-allgather for long ones.
 func (c *Comm) Bcast(buf []byte, count int, dt *Datatype, root int) error {
-	unlock, err := c.collEnter()
+	x, err := c.collEnter()
 	if err != nil {
 		return err
 	}
-	defer unlock()
+	defer x.done()
+	return c.run(c.bcastSched(buf, count, dt, root, collCached))
+}
+
+// bcastSched resolves a broadcast.
+func (c *Comm) bcastSched(buf []byte, count int, dt *Datatype, root int, mode collMode) (*nbc.Schedule, error) {
+	f, err := c.collForce()
+	if err != nil {
+		return nil, err
+	}
 	n := count * dt.Size()
-	c.p.noteColl(metrics.CollBcastBinomial, n)
-	return coll.Bcast(c.port(), buf[:n], root)
+	t := c.nbcPort()
+	algo := nbc.SelectBcast(t, n, f)
+	key := nbc.CacheKey{Kind: nbc.CacheBcast, Algo: algo, Root: root}
+	return c.schedule(mode, key, nil, buf[:n], func(tag int) (*nbc.Schedule, error) {
+		return nbc.Bcast(t, tag, buf[:n], root, algo)
+	})
 }
 
 // Reduce folds count elements of elem from every rank into recv on root
-// (MPI_REDUCE). recv is ignored elsewhere.
+// (MPI_REDUCE). recv is ignored elsewhere. Non-commutative operators
+// fold in strict rank order (the chain algorithm).
 func (c *Comm) Reduce(send, recv []byte, count int, elem *Datatype, op Op, root int) error {
-	unlock, err := c.collEnter()
+	x, err := c.collEnter()
 	if err != nil {
 		return err
 	}
-	defer unlock()
+	defer x.done()
+	return c.run(c.reduceSched(send, recv, count, elem, op, root))
+}
+
+// reduceSched resolves a reduction to root.
+func (c *Comm) reduceSched(send, recv []byte, count int, elem *Datatype, op Op, root int) (*nbc.Schedule, error) {
+	f, err := c.collForce()
+	if err != nil {
+		return nil, err
+	}
 	n := count * elem.Size()
 	var out []byte
 	if c.Rank() == root {
 		out = recv[:n]
 	}
-	if coll.Commutative(op) {
-		c.p.noteColl(metrics.CollReduceBinomial, n)
-	} else {
-		c.p.noteColl(metrics.CollReduceChain, n)
-	}
-	return coll.Reduce(c.port(), op, elem, send[:n], out, root)
+	t := c.nbcPort()
+	algo := nbc.SelectReduce(t, n, coll.Commutative(op), f)
+	key := nbc.CacheKey{Kind: nbc.CacheReduce, Algo: algo, Root: root, Op: uint8(op), Elem: nbc.PtrKey(elem)}
+	return c.schedule(collCached, key, send[:n], out, func(tag int) (*nbc.Schedule, error) {
+		return nbc.Reduce(t, tag, op, elem, send[:n], out, root, algo)
+	})
 }
 
 // Allreduce folds contributions and delivers the result everywhere
-// (MPI_ALLREDUCE).
+// (MPI_ALLREDUCE). Selection: two-level on hierarchical layouts,
+// recursive doubling for short messages on power-of-two worlds,
+// Rabenseifner reduce-scatter + allgather for long ones, reduce+bcast
+// otherwise; non-commutative operators always take the rank-ordered
+// chain composition.
 func (c *Comm) Allreduce(send, recv []byte, count int, elem *Datatype, op Op) error {
-	unlock, err := c.collEnter()
+	x, err := c.collEnter()
 	if err != nil {
 		return err
 	}
-	defer unlock()
-	n := count * elem.Size()
-	if size := c.Size(); coll.Commutative(op) && size&(size-1) == 0 {
-		c.p.noteColl(metrics.CollAllreduceRecDoubling, n)
-	} else {
-		c.p.noteColl(metrics.CollAllreduceReduceBcast, n)
-	}
-	return coll.Allreduce(c.port(), op, elem, send[:n], recv[:n])
+	defer x.done()
+	return c.run(c.allreduceSched(send, recv, count, elem, op, collCached))
 }
 
-// Gather concentrates equal-size blocks on root (MPI_GATHER).
+// allreduceSched resolves an allreduce.
+func (c *Comm) allreduceSched(send, recv []byte, count int, elem *Datatype, op Op, mode collMode) (*nbc.Schedule, error) {
+	f, err := c.collForce()
+	if err != nil {
+		return nil, err
+	}
+	n := count * elem.Size()
+	t := c.nbcPort()
+	algo := nbc.SelectAllreduce(t, count, elem.Size(), coll.Commutative(op), f)
+	key := nbc.CacheKey{Kind: nbc.CacheAllreduce, Algo: algo, Root: -1, Op: uint8(op), Elem: nbc.PtrKey(elem)}
+	return c.schedule(mode, key, send[:n], recv[:n], func(tag int) (*nbc.Schedule, error) {
+		return nbc.Allreduce(t, tag, op, elem, send[:n], recv[:n], algo)
+	})
+}
+
+// Gather concentrates equal-size blocks on root (MPI_GATHER), linear:
+// every rank sends its block to the root. recv matters only on root.
 func (c *Comm) Gather(send, recv []byte, count int, dt *Datatype, root int) error {
-	unlock, err := c.collEnter()
+	x, err := c.collEnter()
 	if err != nil {
 		return err
 	}
-	defer unlock()
+	defer x.done()
 	n := count * dt.Size()
 	var out []byte
 	if c.Rank() == root {
-		out = recv
-	} else {
-		out = nil
+		if len(recv) < n*c.Size() {
+			return errc(ErrBuffer, "gather recv buffer %d < %d", len(recv), n*c.Size())
+		}
+		out = recv[:n*c.Size()]
 	}
-	if c.Rank() == root && len(out) < n*c.Size() {
-		return errc(ErrBuffer, "gather recv buffer %d < %d", len(out), n*c.Size())
-	}
-	c.p.noteColl(metrics.CollGatherLinear, n)
-	return coll.Gather(c.port(), send[:n], out, root)
+	t := c.nbcPort()
+	key := nbc.CacheKey{Kind: nbc.CacheGather, Algo: metrics.CollGatherLinear, Root: root}
+	return c.run(c.schedule(collCached, key, send[:n], out, func(tag int) (*nbc.Schedule, error) {
+		return nbc.Gather(t, tag, send[:n], out, root)
+	}))
 }
 
-// Scatter distributes root's equal-size blocks (MPI_SCATTER).
+// Scatter distributes root's equal-size blocks (MPI_SCATTER), linear:
+// the root sends each rank its block. send matters only on root.
 func (c *Comm) Scatter(send, recv []byte, count int, dt *Datatype, root int) error {
-	unlock, err := c.collEnter()
+	x, err := c.collEnter()
 	if err != nil {
 		return err
 	}
-	defer unlock()
+	defer x.done()
 	n := count * dt.Size()
 	var in []byte
 	if c.Rank() == root {
-		in = send
-		if len(in) < n*c.Size() {
-			return errc(ErrBuffer, "scatter send buffer %d < %d", len(in), n*c.Size())
+		if len(send) < n*c.Size() {
+			return errc(ErrBuffer, "scatter send buffer %d < %d", len(send), n*c.Size())
 		}
+		in = send[:n*c.Size()]
 	}
-	c.p.noteColl(metrics.CollScatterLinear, n)
-	return coll.Scatter(c.port(), in, recv[:n], root)
+	t := c.nbcPort()
+	key := nbc.CacheKey{Kind: nbc.CacheScatter, Algo: metrics.CollScatterLinear, Root: root}
+	return c.run(c.schedule(collCached, key, in, recv[:n], func(tag int) (*nbc.Schedule, error) {
+		return nbc.Scatter(t, tag, in, recv[:n], root)
+	}))
 }
 
-// Allgather concentrates equal-size blocks everywhere (MPI_ALLGATHER,
-// ring algorithm).
+// Allgather concentrates equal-size blocks everywhere (MPI_ALLGATHER):
+// Bruck for short blocks, ring for long ones.
 func (c *Comm) Allgather(send, recv []byte, count int, dt *Datatype) error {
-	unlock, err := c.collEnter()
+	x, err := c.collEnter()
 	if err != nil {
 		return err
 	}
-	defer unlock()
-	n := count * dt.Size()
-	if len(recv) < n*c.Size() {
-		return errc(ErrBuffer, "allgather recv buffer %d < %d", len(recv), n*c.Size())
-	}
-	c.p.noteColl(metrics.CollAllgatherRing, n)
-	return coll.Allgather(c.port(), send[:n], recv)
+	defer x.done()
+	return c.run(c.allgatherSched(send, recv, count, dt))
 }
 
-// Alltoall exchanges equal-size blocks pairwise (MPI_ALLTOALL).
+// allgatherSched resolves an allgather.
+func (c *Comm) allgatherSched(send, recv []byte, count int, dt *Datatype) (*nbc.Schedule, error) {
+	f, err := c.collForce()
+	if err != nil {
+		return nil, err
+	}
+	n := count * dt.Size()
+	all := n * c.Size()
+	if len(recv) < all {
+		return nil, errc(ErrBuffer, "allgather recv buffer %d < %d", len(recv), all)
+	}
+	t := c.nbcPort()
+	algo := nbc.SelectAllgather(t, n, f)
+	key := nbc.CacheKey{Kind: nbc.CacheAllgather, Algo: algo, Root: -1}
+	return c.schedule(collCached, key, send[:n], recv[:all], func(tag int) (*nbc.Schedule, error) {
+		return nbc.Allgather(t, tag, send[:n], recv[:all], algo)
+	})
+}
+
+// Alltoall exchanges equal-size blocks (MPI_ALLTOALL): all sends and
+// receives posted in one round for small blocks on small worlds,
+// pairwise exchange rounds otherwise.
 func (c *Comm) Alltoall(send, recv []byte, count int, dt *Datatype) error {
-	unlock, err := c.collEnter()
+	x, err := c.collEnter()
 	if err != nil {
 		return err
 	}
-	defer unlock()
-	n := count * dt.Size()
-	if len(send) < n*c.Size() || len(recv) < n*c.Size() {
-		return errc(ErrBuffer, "alltoall buffers short")
+	defer x.done()
+	return c.run(c.alltoallSched(send, recv, count, dt, collCached))
+}
+
+// alltoallSched resolves an all-to-all exchange.
+func (c *Comm) alltoallSched(send, recv []byte, count int, dt *Datatype, mode collMode) (*nbc.Schedule, error) {
+	f, err := c.collForce()
+	if err != nil {
+		return nil, err
 	}
-	c.p.noteColl(metrics.CollAlltoallPairwise, n*c.Size())
-	return coll.Alltoall(c.port(), send[:n*c.Size()], recv[:n*c.Size()])
+	n := count * dt.Size()
+	all := n * c.Size()
+	if len(send) < all || len(recv) < all {
+		return nil, errc(ErrBuffer, "alltoall buffers short")
+	}
+	t := c.nbcPort()
+	algo := nbc.SelectAlltoall(t, n, f)
+	key := nbc.CacheKey{Kind: nbc.CacheAlltoall, Algo: algo, Root: -1}
+	return c.schedule(mode, key, send[:all], recv[:all], func(tag int) (*nbc.Schedule, error) {
+		return nbc.Alltoall(t, tag, send[:all], recv[:all], algo)
+	})
 }
 
 // ReduceScatterBlock reduces and scatters equal blocks
-// (MPI_REDUCE_SCATTER_BLOCK).
+// (MPI_REDUCE_SCATTER_BLOCK): a reduction onto rank 0 followed by a
+// linear scatter.
 func (c *Comm) ReduceScatterBlock(send, recv []byte, count int, elem *Datatype, op Op) error {
-	unlock, err := c.collEnter()
+	x, err := c.collEnter()
 	if err != nil {
 		return err
 	}
-	defer unlock()
+	defer x.done()
 	n := count * elem.Size()
-	if len(send) < n*c.Size() || len(recv) < n {
+	all := n * c.Size()
+	if len(send) < all || len(recv) < n {
 		return errc(ErrBuffer, "reduce_scatter buffers short")
 	}
-	c.p.noteColl(metrics.CollRedScatBlock, n*c.Size())
-	return coll.ReduceScatterBlock(c.port(), op, elem, send[:n*c.Size()], recv[:n])
+	t := c.nbcPort()
+	key := nbc.CacheKey{Kind: nbc.CacheReduceScatterBlock, Algo: metrics.CollRedScatBlock, Root: -1,
+		Op: uint8(op), Elem: nbc.PtrKey(elem)}
+	return c.run(c.schedule(collCached, key, send[:all], recv[:n], func(tag int) (*nbc.Schedule, error) {
+		return nbc.ReduceScatterBlock(t, tag, op, elem, send[:all], recv[:n])
+	}))
 }
 
 // OpCreate registers a user-defined reduction operator (MPI_OP_CREATE)
@@ -306,7 +416,9 @@ func ReduceLocal(inbuf, inoutbuf []byte, count int, elem *Datatype, op Op) error
 }
 
 // AllreduceFloat64 is a typed convenience for the dominant application
-// pattern: allreduce over float64 values.
+// pattern: allreduce over float64 values. Its buffers are fresh on
+// every call; the schedule cache keys on shape, so every call after
+// the first replays the cached schedule rebound to them.
 func (c *Comm) AllreduceFloat64(vals []float64, op Op) ([]float64, error) {
 	send := Float64Bytes(vals, nil)
 	recv := make([]byte, len(send))

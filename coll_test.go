@@ -2,6 +2,7 @@ package gompi
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"testing"
 )
@@ -237,6 +238,112 @@ func TestCollectiveOnFreedCommRejected(t *testing.T) {
 		}
 		if err := d.Barrier(); ClassOf(err) != ErrComm {
 			return fmt.Errorf("barrier on freed comm: %v", err)
+		}
+		return nil
+	})
+}
+
+// collCalls returns the aggregated call count of one algorithm
+// ("allreduce/two-level", ...).
+func collCalls(st *Stats, algo string) int64 {
+	for _, cs := range st.Aggregate().Coll {
+		if cs.Algo == algo {
+			return cs.Calls
+		}
+	}
+	return 0
+}
+
+// TestBlockingAllreduceSelection: blocking Allreduce goes through the
+// same selection as Iallreduce — two-level on a hierarchical layout,
+// and whatever Config.CollAlgorithm pins otherwise.
+func TestBlockingAllreduceSelection(t *testing.T) {
+	for _, tc := range []struct{ pin, want string }{
+		{"", "allreduce/two-level"},
+		{"rdouble", "allreduce/rdouble"},
+	} {
+		var st Stats
+		cfg := Config{Fabric: "ofi", RanksPerNode: 2, CollAlgorithm: tc.pin, Stats: &st}
+		run(t, 4, cfg, func(p *Proc) error {
+			vals, err := p.World().AllreduceFloat64([]float64{float64(p.Rank())}, OpSum)
+			if err != nil {
+				return err
+			}
+			if vals[0] != 6 {
+				return fmt.Errorf("allreduce = %v, want 6", vals[0])
+			}
+			return nil
+		})
+		if got := collCalls(&st, tc.want); got != 4 {
+			t.Errorf("pin %q: %s calls = %d, want 4 (one per rank)", tc.pin, tc.want, got)
+		}
+	}
+}
+
+// TestAllreduceFloat64CacheHits: fresh buffers of one shape compile
+// once per rank; every later call hits and is rebound, so the cache
+// holds one schedule.
+func TestAllreduceFloat64CacheHits(t *testing.T) {
+	const calls = 500
+	run(t, 4, Config{Fabric: "ofi", RanksPerNode: 2}, func(p *Proc) error {
+		w := p.World()
+		before := p.Metrics().Sched
+		for i := 0; i < calls; i++ {
+			vals, err := w.AllreduceFloat64([]float64{float64(i), float64(p.Rank())}, OpSum)
+			if err != nil {
+				return err
+			}
+			if vals[0] != float64(4*i) || vals[1] != 6 {
+				return fmt.Errorf("call %d: allreduce = %v", i, vals)
+			}
+		}
+		after := p.Metrics().Sched
+		if hits, misses := after.CacheHits-before.CacheHits, after.CacheMisses-before.CacheMisses; hits != calls-1 || misses != 1 {
+			return fmt.Errorf("%d hits, %d misses; want %d and 1", hits, misses, calls-1)
+		}
+		if n := w.sched.Len(); n != 1 {
+			return fmt.Errorf("%d cached schedules, want 1", n)
+		}
+		return nil
+	})
+}
+
+// TestBlockingCollSharesCache: blocking, nonblocking and in-place calls
+// of one collective share the cache by shape, and in-place buffers key
+// apart from disjoint ones.
+func TestBlockingCollSharesCache(t *testing.T) {
+	run(t, 4, Config{Fabric: "ofi"}, func(p *Proc) error {
+		w := p.World()
+		send, recv := make([]byte, 16), make([]byte, 16)
+		for i := 0; i < 3; i++ {
+			binary.LittleEndian.PutUint64(send, uint64(p.Rank()+i))
+			if err := w.Allreduce(send, recv, 2, Long, OpSum); err != nil {
+				return err
+			}
+			if got := binary.LittleEndian.Uint64(recv); got != uint64(6+4*i) {
+				return fmt.Errorf("blocking call %d: got %d", i, got)
+			}
+			req, err := w.Iallreduce(send, recv, 2, Long, OpSum)
+			if err != nil {
+				return err
+			}
+			if _, err := req.Wait(); err != nil {
+				return err
+			}
+			if got := binary.LittleEndian.Uint64(recv); got != uint64(6+4*i) {
+				return fmt.Errorf("nonblocking call %d: got %d", i, got)
+			}
+			inPlace := make([]byte, 16)
+			binary.LittleEndian.PutUint64(inPlace, uint64(p.Rank()))
+			if err := w.Allreduce(inPlace, inPlace, 2, Long, OpSum); err != nil {
+				return err
+			}
+			if got := binary.LittleEndian.Uint64(inPlace); got != 6 {
+				return fmt.Errorf("in-place call %d: got %d", i, got)
+			}
+		}
+		if n := w.sched.Len(); n != 2 {
+			return fmt.Errorf("%d cached schedules, want 2 (disjoint and in-place)", n)
 		}
 		return nil
 	})

@@ -14,11 +14,14 @@ type Comm struct {
 	p *Proc
 	c *comm.Comm
 
-	// sched caches compiled nonblocking-collective schedules keyed by
-	// (operation, algorithm, buffers): a repeated I-collective on
-	// identical arguments replays the compiled rounds instead of
-	// rebuilding them. Owned by the rank; the zero value is ready.
+	// sched caches compiled collective schedules keyed by (operation,
+	// algorithm, shape): a repeated collective of the same shape,
+	// blocking or not, replays the compiled rounds rebound to its
+	// buffers instead of rebuilding them. Owned by the rank; the zero
+	// value is ready.
 	sched nbc.Cache
+	// port is the collective transport adapter, built on first use.
+	port nbcPort
 }
 
 // Rank returns the calling process's rank within the communicator.

@@ -13,6 +13,7 @@ import (
 	"gompi/internal/datatype"
 	"gompi/internal/flight"
 	"gompi/internal/instr"
+	"gompi/internal/match"
 	"gompi/internal/request"
 	"gompi/internal/rma"
 	"gompi/internal/vtime"
@@ -761,8 +762,8 @@ func elemFromCode(c int) *datatype.Type {
 
 // barrier is the dissemination barrier used by epoch synchronization
 // and window creation teardown, run over the device's own pt2pt on the
-// communicator's collective context with a reserved tag block.
-const barrierTagBase = 1 << 20
+// communicator's collective context with the reserved per-round tags
+// match.TagDevBarrierBase+round.
 
 func (d *Device) barrier(c *comm.Comm) {
 	cv := c.CollView()
@@ -772,7 +773,7 @@ func (d *Device) barrier(c *comm.Comm) {
 	for dist := 1; dist < size; dist *= 2 {
 		to := (rank + dist) % size
 		from := (rank - dist + size) % size
-		tag := barrierTagBase + round
+		tag := match.TagDevBarrierBase + round
 		if _, err := d.Isend(token[:], 1, datatype.Byte, to, tag, cv, core.FlagNoProcNull|core.FlagNoReq); err != nil {
 			panic(errString("barrier send", err))
 		}

@@ -1,10 +1,8 @@
-// Package coll implements the machine-independent collectives of the
-// MPI layer (binomial broadcast/reduce, recursive-doubling allreduce,
-// dissemination barrier, ring and Bruck allgathers, pairwise alltoall)
-// over a minimal point-to-point interface, plus the predefined
-// reduction operators shared with one-sided accumulate. Algorithms are
-// written exactly once and run over any device, matching MPICH's
-// layering.
+// Package coll holds the reduction operators of the MPI layer: the
+// predefined operators, the registry of user-defined ones, and Apply,
+// which folds one buffer into another. The collective algorithms that
+// use them are schedule compilers in internal/nbc; one-sided
+// accumulate shares the same operators.
 package coll
 
 import (

@@ -165,14 +165,6 @@ type Rank struct {
 	UnexpectedMax int64
 	PostedMax     int64
 
-	// Payload buffer pool, per size class, plus buffers too large for
-	// any class (allocated and dropped, never pooled). The fabric
-	// counts its pool per VCI, under the VCI lock, and adds those
-	// counts when it snapshots the rank.
-	PoolHits     [NumPoolClasses]int64
-	PoolMisses   [NumPoolClasses]int64
-	PoolOversize int64
-
 	// Request-object recycling: total pool gets and how many reused a
 	// freed request instead of allocating.
 	ReqAllocs int64
@@ -526,7 +518,6 @@ func (r *Rank) Snapshot() Snapshot {
 			UnexpectedMax: atomic.LoadInt64(&r.UnexpectedMax),
 			PostedMax:     atomic.LoadInt64(&r.PostedMax),
 		},
-		Pool: PoolStats{Oversize: atomic.LoadInt64(&r.PoolOversize)},
 		Req: ReqStats{
 			Allocs: atomic.LoadInt64(&r.ReqAllocs),
 			Reuses: atomic.LoadInt64(&r.ReqReuses),
@@ -548,10 +539,6 @@ func (r *Rank) Snapshot() Snapshot {
 		CacheHits:       atomic.LoadInt64(&r.SchedCacheHits),
 		CacheMisses:     atomic.LoadInt64(&r.SchedCacheMisses),
 		PartitionsReady: atomic.LoadInt64(&r.PartitionsReady),
-	}
-	for i := range r.PoolHits {
-		s.Pool.Hits[i] = atomic.LoadInt64(&r.PoolHits[i])
-		s.Pool.Misses[i] = atomic.LoadInt64(&r.PoolMisses[i])
 	}
 	s.Lat = LatSnapshot{
 		PostMatch:  r.Lat.PostMatch.Snapshot(),

@@ -9,7 +9,7 @@ import (
 )
 
 // Step constructors.
-func sendTo(buf []byte, peer int) step  { return step{kind: opSend, peer: peer, buf: buf} }
+func sendTo(buf []byte, peer int) step   { return step{kind: opSend, peer: peer, buf: buf} }
 func recvFrom(buf []byte, peer int) step { return step{kind: opRecv, peer: peer, buf: buf} }
 func reduceInto(op coll.Op, elem *datatype.Type, dst, src []byte) step {
 	return step{kind: opReduce, op: op, elem: elem, dst: dst, src: src}
@@ -166,6 +166,11 @@ func TwoLevel(t Transport) bool {
 	size := t.Size()
 	if size < 2 {
 		return false
+	}
+	if bt, ok := t.(BlockTopo); ok {
+		if rpn, ok := bt.RanksPerNodeBlock(); ok && rpn > 0 {
+			return size > rpn && rpn > 1
+		}
 	}
 	first := t.Node(0)
 	multiNode, sharedNode := false, false
@@ -843,5 +848,96 @@ func Alltoall(t Transport, tag int, sendBuf, recv []byte, algo int) (*Schedule, 
 			}})
 		}
 	}
+	return s, nil
+}
+
+// Gather compiles the linear gather: every rank sends its block to the
+// root, which posts one receive per peer into that peer's slot of recv
+// and copies its own block locally. recv is consumed only on the root.
+func Gather(t Transport, tag int, sendBuf, recv []byte, root int) (*Schedule, error) {
+	rank, size := t.Rank(), t.Size()
+	if root < 0 || root >= size {
+		return nil, fmt.Errorf("nbc: gather root %d outside [0,%d)", root, size)
+	}
+	bs := len(sendBuf)
+	s := newSchedule(t, tag, metrics.CollGatherLinear, bs)
+	if rank != root {
+		s.addRound(round{comm: []step{sendTo(sendBuf, root)}})
+		return s, nil
+	}
+	if len(recv) < bs*size {
+		return nil, fmt.Errorf("nbc: gather recv buffer %d < %d", len(recv), bs*size)
+	}
+	var recvs []step
+	for r := 0; r < size; r++ {
+		if r != root {
+			recvs = append(recvs, recvFrom(recv[r*bs:(r+1)*bs], r))
+		}
+	}
+	s.addRound(round{comm: recvs, local: []step{copyInto(recv[root*bs:(root+1)*bs], sendBuf)}})
+	return s, nil
+}
+
+// Scatter compiles the linear scatter: the root sends block r of
+// sendBuf to rank r and copies its own block; every other rank receives
+// its block into recv. sendBuf is consumed only on the root.
+func Scatter(t Transport, tag int, sendBuf, recv []byte, root int) (*Schedule, error) {
+	size := t.Size()
+	if root < 0 || root >= size {
+		return nil, fmt.Errorf("nbc: scatter root %d outside [0,%d)", root, size)
+	}
+	bs := len(recv)
+	if t.Rank() == root && len(sendBuf) < bs*size {
+		return nil, fmt.Errorf("nbc: scatter send buffer %d < %d", len(sendBuf), bs*size)
+	}
+	s := newSchedule(t, tag, metrics.CollScatterLinear, bs)
+	scatterRound(s, sendBuf, recv, root)
+	return s, nil
+}
+
+// scatterRound emits the linear scatter of full (significant on root)
+// into each rank's mine. The root's own copy is a local step of its
+// send round, so a composition may fill full in earlier rounds.
+func scatterRound(s *Schedule, full, mine []byte, root int) {
+	rank, size := s.t.Rank(), s.t.Size()
+	bs := len(mine)
+	if rank != root {
+		s.addRound(round{comm: []step{recvFrom(mine, root)}})
+		return
+	}
+	var sends []step
+	for r := 0; r < size; r++ {
+		if r != root {
+			sends = append(sends, sendTo(full[r*bs:(r+1)*bs], r))
+		}
+	}
+	s.addRound(round{comm: sends, local: []step{copyInto(mine, full[root*bs:(root+1)*bs])}})
+}
+
+// ReduceScatterBlock compiles the reduce+scatter composition: the
+// size equal blocks of sendBuf are reduced onto rank 0 (binomial tree,
+// or the rank-ordered chain for non-commutative operators), which then
+// scatters block r to rank r's recv. Same-tag composition is safe: no
+// rank receives from rank 0 during the reduce.
+func ReduceScatterBlock(t Transport, tag int, op coll.Op, elem *datatype.Type, sendBuf, recv []byte) (*Schedule, error) {
+	size := t.Size()
+	if size == 0 || len(sendBuf)%size != 0 {
+		return nil, fmt.Errorf("nbc: reduce_scatter send buffer %d not divisible by %d", len(sendBuf), size)
+	}
+	bs := len(sendBuf) / size
+	if len(recv) < bs {
+		return nil, fmt.Errorf("nbc: reduce_scatter recv buffer %d < %d", len(recv), bs)
+	}
+	s := newSchedule(t, tag, metrics.CollRedScatBlock, len(sendBuf))
+	var full []byte
+	if t.Rank() == 0 {
+		full = make([]byte, len(sendBuf))
+	}
+	if coll.Commutative(op) {
+		reduceBinomial(s, op, elem, sendBuf, full, 0)
+	} else {
+		reduceChain(s, op, elem, sendBuf, full, 0)
+	}
+	scatterRound(s, full, recv[:bs], 0)
 	return s, nil
 }

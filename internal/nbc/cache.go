@@ -1,11 +1,18 @@
 package nbc
 
-// The schedule cache: compiled nonblocking-collective schedules keyed
-// by everything that shaped the compilation, so a repeated collective
-// with identical arguments replays the compiled round structure instead
-// of rebuilding it. The paper's Section 4 charges MPI's per-call setup
-// against the wire time; caching the schedule DAG removes exactly that
-// setup from every call after the first.
+// The schedule cache: compiled collective schedules keyed by the shape
+// of the call, so a repeated collective replays the compiled round
+// structure instead of rebuilding it. The paper's Section 4 charges
+// MPI's per-call setup against the wire time; caching the schedule DAG
+// removes exactly that setup from every call after the first.
+//
+// The key holds no buffer address: a call with fresh buffers of the
+// same shape (every AllreduceFloat64) hits, and the cached schedule is
+// rebound to the caller's buffers before it replays. The compilers
+// capture sub-slices of the caller's send and receive buffers inside
+// the compiled steps; rebinding moves each such slice to the same
+// offset of the new buffers and leaves the compiler's scratch buffers
+// alone. So the cache holds one entry per (collective, shape).
 //
 // The cache is owned by the calling rank (collectives on one
 // communicator are serialized per rank), so no locking is needed.
@@ -16,8 +23,8 @@ import (
 )
 
 // CacheKind discriminates the collective family a cached schedule
-// implements — two collectives with equal buffers but different shapes
-// (say Ibcast and Iallreduce over the same slice) must never collide.
+// implements — two collectives with equal shapes (say Ibcast and
+// Iallreduce over the same length) must never collide.
 type CacheKind uint8
 
 // Cached collective families.
@@ -28,28 +35,40 @@ const (
 	CacheAllreduce
 	CacheAllgather
 	CacheAlltoall
+	CacheGather
+	CacheScatter
+	CacheReduceScatterBlock
+	CacheScan
+	CacheExscan
+	CacheGatherv
+	CacheScatterv
+	CacheAllgatherv
 	CacheNeighborAllgather
 	CacheNeighborAlltoall
 )
 
-// CacheKey identifies one compiled schedule. Buffer identity — base
-// pointer and length — is part of the key: the compilers capture
-// sub-slices of the caller's buffers inside the compiled steps, so a
-// schedule is only replayable against the exact same memory. Value
-// comparability (==) makes the key directly usable as a map key.
+// CacheKey identifies one compiled schedule by everything that shaped
+// its compilation. The caller fills the collective's own fields; Get
+// and Put fill the buffer shape (lengths and aliasing) from the
+// buffers they are handed. Value comparability (==) makes the key
+// directly usable as a map key.
 type CacheKey struct {
-	Kind    CacheKind
-	Algo    int     // resolved algorithm id (metrics.Coll*)
-	Root    int     // rooted collectives; -1 otherwise
-	Op      uint8   // reduction op; 0 otherwise
-	Elem    uintptr // element datatype identity; 0 otherwise
-	Send    uintptr // send buffer base (0 for in-place/absent)
-	SendLen int
-	Recv    uintptr // recv buffer base
-	RecvLen int
-	// Shape folds in any remaining shape the buffer identities miss —
-	// the counts/displacements of ragged (v-variant) collectives.
+	Kind CacheKind
+	Algo int     // resolved algorithm id (metrics.Coll*)
+	Root int     // rooted collectives; -1 otherwise
+	Op   uint8   // reduction op; 0 otherwise
+	Elem uintptr // element datatype identity; 0 otherwise
+	// Shape folds in any remaining shape the lengths miss — the
+	// counts/displacements of ragged (v-variant) collectives.
 	Shape uint64
+
+	SendLen, RecvLen int
+	// Overlap is set when the send and receive buffers share memory
+	// (an in-place call); Delta is then the receive buffer's byte
+	// offset from the send buffer's start. Rebinding is only sound
+	// between calls that alias alike.
+	Overlap bool
+	Delta   int
 }
 
 // ShapeHash folds integer shape vectors (counts, displacements) into a
@@ -67,15 +86,6 @@ func ShapeHash(vecs ...[]int) uint64 {
 	return h
 }
 
-// BufKey derives the (base, len) identity of a buffer for CacheKey
-// fields. A nil or empty buffer keys as (0, 0).
-func BufKey(b []byte) (uintptr, int) {
-	if len(b) == 0 {
-		return 0, 0
-	}
-	return uintptr(unsafe.Pointer(unsafe.SliceData(b))), len(b)
-}
-
 // PtrKey derives an identity for a pointer-shaped key component (e.g.
 // the element datatype) via reflection, avoiding unsafe on arbitrary
 // types.
@@ -86,38 +96,102 @@ func PtrKey(v any) uintptr {
 	return reflect.ValueOf(v).Pointer()
 }
 
+// base returns the address of b's first byte (0 for a nil slice).
+func base(b []byte) uintptr { return uintptr(unsafe.Pointer(unsafe.SliceData(b))) }
+
+// withShape completes key with the buffer shape of (send, recv).
+func withShape(key CacheKey, send, recv []byte) CacheKey {
+	key.SendLen, key.RecvLen = len(send), len(recv)
+	if len(send) > 0 && len(recv) > 0 {
+		s, r := base(send), base(recv)
+		if r < s+uintptr(len(send)) && s < r+uintptr(len(recv)) {
+			key.Overlap, key.Delta = true, int(r-s)
+		}
+	}
+	return key
+}
+
 // Cache maps keys to compiled schedules. The zero value is ready to
 // use. One cache hangs off each public communicator, created lazily on
-// the first cacheable collective.
+// the first collective.
 type Cache struct {
 	m      map[CacheKey]*Schedule
 	hits   int64
 	misses int64
 }
 
-// Get returns the cached schedule for key if one exists and is not
-// currently running. A Running schedule cannot be replayed — the
-// caller started the same collective twice with identical arguments
-// before finishing the first — so the lookup deliberately misses and
-// the caller compiles a fresh schedule for the overlapping call.
-func (c *Cache) Get(key CacheKey) (*Schedule, bool) {
-	s, ok := c.m[key]
+// Get returns the cached schedule for key and the buffers (send, recv)
+// if one exists and is not currently running, rebound to those
+// buffers. A Running schedule cannot be replayed — the caller started
+// the same collective twice before finishing the first — so the lookup
+// deliberately misses and the caller compiles a fresh schedule for the
+// overlapping call.
+func (c *Cache) Get(key CacheKey, send, recv []byte) (*Schedule, bool) {
+	s, ok := c.m[withShape(key, send, recv)]
 	if ok && !s.Running() {
 		c.hits++
+		s.rebind(send, recv)
 		return s, true
 	}
 	c.misses++
 	return nil, false
 }
 
-// Put stores a freshly compiled schedule under key, replacing any
-// previous (necessarily running, per Get) occupant.
-func (c *Cache) Put(key CacheKey, s *Schedule) {
+// Put stores a schedule freshly compiled against (send, recv) under
+// key, replacing any previous (necessarily running, per Get) occupant.
+func (c *Cache) Put(key CacheKey, s *Schedule, send, recv []byte) {
 	if c.m == nil {
 		c.m = make(map[CacheKey]*Schedule)
 	}
-	c.m[key] = s
+	s.bound = [2][]byte{send, recv}
+	c.m[withShape(key, send, recv)] = s
 }
+
+// Len reports the number of cached schedules.
+func (c *Cache) Len() int { return len(c.m) }
 
 // Stats returns the lifetime hit/miss counts.
 func (c *Cache) Stats() (hits, misses int64) { return c.hits, c.misses }
+
+// rebind moves every step's view of the previously bound caller
+// buffers to the same offsets of (send, recv). Slices outside both —
+// the compiler's scratch buffers — are kept. A no-op when the bases
+// already match, which is every replay on unchanged buffers.
+func (s *Schedule) rebind(send, recv []byte) {
+	old := s.bound
+	if base(old[0]) == base(send) && base(old[1]) == base(recv) {
+		return
+	}
+	to := [2][]byte{send, recv}
+	move := func(b []byte) []byte {
+		if b == nil {
+			return nil
+		}
+		p := base(b)
+		for i, o := range old {
+			if len(o) == 0 {
+				continue
+			}
+			if ob := base(o); p >= ob && p+uintptr(len(b)) <= ob+uintptr(len(o)) {
+				off := int(p - ob)
+				return to[i][off : off+len(b)]
+			}
+		}
+		return b
+	}
+	moveStep := func(st *step) {
+		st.buf, st.dst, st.src = move(st.buf), move(st.dst), move(st.src)
+	}
+	for i := range s.rounds {
+		for j := range s.rounds[i].comm {
+			moveStep(&s.rounds[i].comm[j])
+		}
+		for j := range s.rounds[i].local {
+			moveStep(&s.rounds[i].local[j])
+		}
+	}
+	for i := range s.prologue {
+		moveStep(&s.prologue[i])
+	}
+	s.bound = to
+}

@@ -1,9 +1,11 @@
-// Package nbc is the nonblocking-collectives engine: each collective
-// compiles into a Schedule — a DAG of primitive steps (eager send,
-// nonblocking recv, local reduce, local copy) organized in dependency
-// rounds — and the schedule is progressed incrementally off the request
-// engine, so an I-collective returns immediately and genuinely overlaps
-// with user computation.
+// Package nbc is the collectives engine: each collective compiles into
+// a Schedule — a DAG of primitive steps (eager send, nonblocking recv,
+// local reduce, local copy) organized in dependency rounds. A blocking
+// collective runs its schedule to completion with Wait on the caller's
+// goroutine; an I-collective is progressed incrementally off the
+// request engine, so it returns immediately and genuinely overlaps
+// with user computation; a persistent collective replays one schedule
+// per Start. All three forms share the compilers and the selection.
 //
 // The round structure encodes the DAG: every communication step of
 // round k is issued as soon as round k-1 completes, every local step of
@@ -17,7 +19,8 @@
 // rendezvous protocol.
 //
 // One tag isolates one schedule instance: the MPI layer allocates a
-// fresh tag per collective call from a per-communicator sequence, so
+// fresh tag per collective call from a per-communicator sequence
+// (persistent collectives draw one per Init from their own range), so
 // several collectives may be outstanding on one communicator at once,
 // and a rank that runs ahead into round k+1 cannot confuse a peer still
 // matching round k (same-tag traffic matches FIFO).
@@ -182,6 +185,10 @@ type Schedule struct {
 	// can re-run them: a cached schedule replays from the caller's
 	// current buffer contents instead of a stale snapshot.
 	prologue []step
+
+	// bound holds the caller's (send, recv) buffers the steps currently
+	// view, so the cache can rebind a replay to fresh buffers.
+	bound [2][]byte
 }
 
 // newSchedule wires an empty schedule.
@@ -236,6 +243,9 @@ func (s *Schedule) init(dst, src []byte) {
 	copy(dst, src)
 	s.prologue = append(s.prologue, copyInto(dst, src))
 }
+
+// Tag reports the tag the schedule runs under.
+func (s *Schedule) Tag() int { return s.tag }
 
 // Cur reports the index of the round currently in progress (equal to
 // Rounds once the schedule has finished).

@@ -9,6 +9,7 @@ import (
 	"gompi/internal/datatype"
 	"gompi/internal/flight"
 	"gompi/internal/instr"
+	"gompi/internal/match"
 	"gompi/internal/request"
 	"gompi/internal/rma"
 	"gompi/internal/vtime"
@@ -550,7 +551,6 @@ func (d *Device) PutAllOpts(origin []byte, worldTarget, disp int, w *rma.Win) er
 }
 
 // barrier mirrors the ch4 device-internal dissemination barrier.
-const barrierTagBase = 1 << 20
 
 func (d *Device) barrier(c *comm.Comm) {
 	cv := c.CollView()
@@ -560,7 +560,7 @@ func (d *Device) barrier(c *comm.Comm) {
 	for dist := 1; dist < size; dist *= 2 {
 		to := (rank + dist) % size
 		from := (rank - dist + size) % size
-		tag := barrierTagBase + round
+		tag := match.TagDevBarrierBase + round
 		if _, err := d.Isend(token[:], 1, datatype.Byte, to, tag, cv, core.FlagNoReq); err != nil {
 			panic(errString("barrier send", err))
 		}

@@ -136,14 +136,25 @@ func (l *Log) Record(e Event) {
 	l.dropped++
 }
 
-// Events returns the recorded events in chronological order.
+// Events returns the recorded events in chronological order of their
+// start. Spans are recorded when they end, so an enclosing span (a
+// blocking collective) is recorded after the spans nested in it (its
+// schedule rounds); ordering by start, and by end descending on ties,
+// puts every enclosing span before what it contains.
 func (l *Log) Events() []Event {
-	if !l.wrapped {
-		return append([]Event(nil), l.events...)
-	}
 	out := make([]Event, 0, len(l.events))
-	out = append(out, l.events[l.next:]...)
-	out = append(out, l.events[:l.next]...)
+	if l.wrapped {
+		out = append(out, l.events[l.next:]...)
+		out = append(out, l.events[:l.next]...)
+	} else {
+		out = append(out, l.events...)
+	}
+	sort.SliceStable(out, func(i, j int) bool {
+		if out[i].Start != out[j].Start {
+			return out[i].Start < out[j].Start
+		}
+		return out[i].End > out[j].End
+	})
 	return out
 }
 

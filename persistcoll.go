@@ -1,11 +1,8 @@
 package gompi
 
 import (
-	"gompi/internal/coll"
 	"gompi/internal/match"
 	"gompi/internal/nbc"
-	"gompi/internal/trace"
-	"gompi/internal/vtime"
 )
 
 // Persistent collectives (MPI-4 MPI_BCAST_INIT / MPI_ALLREDUCE_INIT /
@@ -26,7 +23,6 @@ import (
 type PersistentColl struct {
 	c      *Comm
 	s      *nbc.Schedule
-	tag    int
 	active bool
 }
 
@@ -35,28 +31,14 @@ func (c *Comm) persistTag() int {
 	return match.TagPersistCollBase + c.c.NextPersistSeq()%match.TagPersistCollSpan
 }
 
-// persistWrap finishes an Init: the compiled schedule becomes a
-// restartable operation, with round tracing attached once here rather
-// than per Start (the OnRound closure would otherwise be a per-replay
-// allocation).
-func (c *Comm) persistWrap(s *nbc.Schedule, tag int) *PersistentColl {
-	p := c.p
-	p.rank.Metrics().NoteSchedCache(false) // the one compilation
-	if p.tlog.Enabled() {
-		var roundStart vtime.Time
-		bytes := s.Bytes
-		s.OnRound = func(idx int, start bool) {
-			if start {
-				roundStart = p.rank.Now()
-				return
-			}
-			p.tlog.Record(trace.Event{
-				Kind: trace.KindSched, Peer: idx, Bytes: bytes, VCI: -1,
-				Start: roundStart, End: p.rank.Now(),
-			})
-		}
+// persistWrap is the persistent form of every collective: the schedule
+// a resolver compiled in collPersist mode becomes a restartable
+// operation replaying under its fixed tag.
+func (c *Comm) persistWrap(s *nbc.Schedule, err error) (*PersistentColl, error) {
+	if err != nil {
+		return nil, err
 	}
-	return &PersistentColl{c: c, s: s, tag: tag}
+	return &PersistentColl{c: c, s: s}, nil
 }
 
 // Start restarts the collective (MPI_START). Every rank of the
@@ -74,7 +56,7 @@ func (o *PersistentColl) Start() error {
 	m := p.rank.Metrics()
 	m.NoteSchedCache(true)
 	p.noteColl(o.s.Algo, o.s.Bytes)
-	o.s.Reset(o.tag)
+	o.s.Reset(o.s.Tag())
 	o.active = true
 	_, err := o.s.Test() // issue round 0 before returning
 	unlock()
@@ -116,68 +98,30 @@ func (o *PersistentColl) Test() (bool, error) {
 
 // BcastInit binds a persistent broadcast (MPI_BCAST_INIT).
 func (c *Comm) BcastInit(buf []byte, count int, dt *Datatype, root int) (*PersistentColl, error) {
-	done, err := c.collEnter()
+	x, err := c.collEnter()
 	if err != nil {
 		return nil, err
 	}
-	defer done()
-	f, err := c.collForce()
-	if err != nil {
-		return nil, err
-	}
-	n := count * dt.Size()
-	t := c.nbcPort()
-	tag := c.persistTag()
-	s, err := nbc.Bcast(t, tag, buf[:n], root, nbc.SelectBcast(t, n, f))
-	if err != nil {
-		return nil, errc(ErrArg, "%v", err)
-	}
-	return c.persistWrap(s, tag), nil
+	defer x.done()
+	return c.persistWrap(c.bcastSched(buf, count, dt, root, collPersist))
 }
 
 // AllreduceInit binds a persistent allreduce (MPI_ALLREDUCE_INIT).
 func (c *Comm) AllreduceInit(send, recv []byte, count int, elem *Datatype, op Op) (*PersistentColl, error) {
-	done, err := c.collEnter()
+	x, err := c.collEnter()
 	if err != nil {
 		return nil, err
 	}
-	defer done()
-	f, err := c.collForce()
-	if err != nil {
-		return nil, err
-	}
-	n := count * elem.Size()
-	t := c.nbcPort()
-	tag := c.persistTag()
-	s, err := nbc.Allreduce(t, tag, op, elem, send[:n], recv[:n],
-		nbc.SelectAllreduce(t, count, elem.Size(), coll.Commutative(op), f))
-	if err != nil {
-		return nil, errc(ErrArg, "%v", err)
-	}
-	return c.persistWrap(s, tag), nil
+	defer x.done()
+	return c.persistWrap(c.allreduceSched(send, recv, count, elem, op, collPersist))
 }
 
 // AlltoallInit binds a persistent all-to-all (MPI_ALLTOALL_INIT).
 func (c *Comm) AlltoallInit(send, recv []byte, count int, dt *Datatype) (*PersistentColl, error) {
-	done, err := c.collEnter()
+	x, err := c.collEnter()
 	if err != nil {
 		return nil, err
 	}
-	defer done()
-	f, err := c.collForce()
-	if err != nil {
-		return nil, err
-	}
-	n := count * dt.Size()
-	if len(send) < n*c.Size() || len(recv) < n*c.Size() {
-		return nil, errc(ErrBuffer, "alltoall_init buffers short")
-	}
-	t := c.nbcPort()
-	tag := c.persistTag()
-	s, err := nbc.Alltoall(t, tag, send[:n*c.Size()], recv[:n*c.Size()],
-		nbc.SelectAlltoall(t, n, f))
-	if err != nil {
-		return nil, errc(ErrArg, "%v", err)
-	}
-	return c.persistWrap(s, tag), nil
+	defer x.done()
+	return c.persistWrap(c.alltoallSched(send, recv, count, dt, collPersist))
 }

@@ -207,9 +207,10 @@ func TestPersistentCollReplayZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestICollScheduleCacheHits: repeated nonblocking collectives on
-// identical arguments hit the communicator's schedule cache — only the
-// first call per shape compiles.
+// TestICollScheduleCacheHits: repeated nonblocking collectives of one
+// shape hit the communicator's schedule cache — only the first call
+// compiles — and a fresh buffer of the same shape is a hit too, with
+// the cached schedule rebound to it.
 func TestICollScheduleCacheHits(t *testing.T) {
 	const ranks = 4
 	const calls = 5
@@ -227,20 +228,30 @@ func TestICollScheduleCacheHits(t *testing.T) {
 				return err
 			}
 		}
-		// A different buffer is a different schedule: no false hits.
+		// A different buffer of the same shape replays the same
+		// schedule against the new memory.
 		other := make([]byte, 64)
+		binary.LittleEndian.PutUint64(other, uint64(p.Rank()+1))
 		req, err := w.Iallreduce(other, recv, 8, Long, OpSum)
 		if err != nil {
 			return err
 		}
-		_, err = req.Wait()
-		return err
+		if _, err := req.Wait(); err != nil {
+			return err
+		}
+		if got := binary.LittleEndian.Uint64(recv); got != 1+2+3+4 {
+			return fmt.Errorf("rebound allreduce = %d, want 10", got)
+		}
+		if n := w.sched.Len(); n != 1 {
+			return fmt.Errorf("%d cached schedules, want 1", n)
+		}
+		return nil
 	})
 	agg := st.Aggregate()
-	if want := int64((calls - 1) * ranks); agg.Sched.CacheHits != want {
+	if want := int64(calls * ranks); agg.Sched.CacheHits != want {
 		t.Errorf("sched cache hits = %d, want %d", agg.Sched.CacheHits, want)
 	}
-	if want := int64(2 * ranks); agg.Sched.CacheMisses != want {
+	if want := int64(ranks); agg.Sched.CacheMisses != want {
 		t.Errorf("sched cache misses = %d, want %d", agg.Sched.CacheMisses, want)
 	}
 }

@@ -2,6 +2,7 @@ package gompi
 
 import (
 	"gompi/internal/core"
+	"gompi/internal/match"
 	"gompi/internal/rma"
 )
 
@@ -17,11 +18,11 @@ import (
 // least the origin's flush time, so the target's clock (synced by its
 // matching receive) correctly reflects the data it is about to read.
 
-// Reserved tags on the collective context (the device-internal barrier
-// uses 1<<20; collectives use 1..9).
+// The post and complete tokens use reserved tags of the collective
+// context, below the collective schedule tags.
 const (
-	tagWinPost     = 700
-	tagWinComplete = 701
+	tagWinPost     = match.TagWinPost
+	tagWinComplete = match.TagWinComplete
 )
 
 // Post opens an exposure epoch for the given origin ranks

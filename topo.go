@@ -107,63 +107,58 @@ func (c *CartComm) Neighbors() []int {
 // are zeroed on every activation through the schedule prologue.
 
 // neighborAllgather runs the blocking neighborhood allgather over
-// explicit neighbor lists; CartComm and GraphComm supply theirs. The
-// schedule is cached per (buffers, list length): a communicator's
-// neighbor lists are fixed at topology creation, so buffer identity
-// pins the rest.
+// explicit neighbor lists; CartComm and GraphComm supply theirs.
 func (c *Comm) neighborAllgather(send, recv []byte, count int, dt *Datatype, sources, destinations []int) error {
-	done, err := c.collEnter()
+	x, err := c.collEnter()
 	if err != nil {
 		return err
 	}
-	defer done()
+	defer x.done()
+	return c.run(c.neighborAllgatherSched(send, recv, count, dt, sources, destinations, collCached))
+}
+
+// neighborAllgatherSched resolves a neighborhood allgather. The cache
+// key is the buffer shape alone: a communicator's neighbor lists are
+// fixed at topology creation.
+func (c *Comm) neighborAllgatherSched(send, recv []byte, count int, dt *Datatype, sources, destinations []int, mode collMode) (*nbc.Schedule, error) {
 	n := count * dt.Size()
-	if len(recv) < n*len(sources) {
-		return errc(ErrBuffer, "neighbor allgather recv %d < %d", len(recv), n*len(sources))
+	all := n * len(sources)
+	if len(recv) < all {
+		return nil, errc(ErrBuffer, "neighbor allgather recv %d < %d", len(recv), all)
 	}
 	t := c.nbcPort()
-	sp, sl := nbc.BufKey(send[:n])
-	rp, rl := nbc.BufKey(recv[:n*len(sources)])
-	key := nbc.CacheKey{Kind: nbc.CacheNeighborAllgather, Algo: metrics.CollNeighborAllgather,
-		Root: -1, Send: sp, SendLen: sl, Recv: rp, RecvLen: rl}
-	req, err := c.cachedStart(key, func(tag int) (*nbc.Schedule, error) {
-		return nbc.NeighborAllgather(t, tag, send[:n], recv[:n*len(sources)], sources, destinations)
+	key := nbc.CacheKey{Kind: nbc.CacheNeighborAllgather, Algo: metrics.CollNeighborAllgather, Root: -1}
+	return c.schedule(mode, key, send[:n], recv[:all], func(tag int) (*nbc.Schedule, error) {
+		return nbc.NeighborAllgather(t, tag, send[:n], recv[:all], sources, destinations)
 	})
-	if err != nil {
-		return err
-	}
-	_, err = req.Wait()
-	return err
 }
 
 // neighborAlltoall runs the blocking neighborhood all-to-all over
 // explicit neighbor lists.
 func (c *Comm) neighborAlltoall(send, recv []byte, count int, dt *Datatype, sources, destinations []int) error {
-	done, err := c.collEnter()
+	x, err := c.collEnter()
 	if err != nil {
 		return err
 	}
-	defer done()
+	defer x.done()
+	return c.run(c.neighborAlltoallSched(send, recv, count, dt, sources, destinations, collCached))
+}
+
+// neighborAlltoallSched resolves a neighborhood all-to-all.
+func (c *Comm) neighborAlltoallSched(send, recv []byte, count int, dt *Datatype, sources, destinations []int, mode collMode) (*nbc.Schedule, error) {
 	n := count * dt.Size()
-	if len(send) < n*len(destinations) {
-		return errc(ErrBuffer, "neighbor alltoall send %d < %d", len(send), n*len(destinations))
+	out, in := n*len(destinations), n*len(sources)
+	if len(send) < out {
+		return nil, errc(ErrBuffer, "neighbor alltoall send %d < %d", len(send), out)
 	}
-	if len(recv) < n*len(sources) {
-		return errc(ErrBuffer, "neighbor alltoall recv %d < %d", len(recv), n*len(sources))
+	if len(recv) < in {
+		return nil, errc(ErrBuffer, "neighbor alltoall recv %d < %d", len(recv), in)
 	}
 	t := c.nbcPort()
-	sp, sl := nbc.BufKey(send[:n*len(destinations)])
-	rp, rl := nbc.BufKey(recv[:n*len(sources)])
-	key := nbc.CacheKey{Kind: nbc.CacheNeighborAlltoall, Algo: metrics.CollNeighborAlltoall,
-		Root: -1, Send: sp, SendLen: sl, Recv: rp, RecvLen: rl}
-	req, err := c.cachedStart(key, func(tag int) (*nbc.Schedule, error) {
-		return nbc.NeighborAlltoall(t, tag, n, send[:n*len(destinations)], recv[:n*len(sources)], sources, destinations)
+	key := nbc.CacheKey{Kind: nbc.CacheNeighborAlltoall, Algo: metrics.CollNeighborAlltoall, Root: -1}
+	return c.schedule(mode, key, send[:out], recv[:in], func(tag int) (*nbc.Schedule, error) {
+		return nbc.NeighborAlltoall(t, tag, n, send[:out], recv[:in], sources, destinations)
 	})
-	if err != nil {
-		return err
-	}
-	_, err = req.Wait()
-	return err
 }
 
 // neighborAlltoallv runs the ragged blocking variant: per-neighbor
@@ -171,30 +166,22 @@ func (c *Comm) neighborAlltoall(send, recv []byte, count int, dt *Datatype, sour
 // into the cache key, so changing them recompiles instead of replaying
 // a stale shape.
 func (c *Comm) neighborAlltoallv(send []byte, sendCounts, sendDispls []int, recv []byte, recvCounts, recvDispls []int, dt *Datatype, sources, destinations []int) error {
-	done, err := c.collEnter()
+	x, err := c.collEnter()
 	if err != nil {
 		return err
 	}
-	defer done()
+	defer x.done()
 	es := dt.Size()
 	sc := scaleVec(sendCounts, es)
 	sd := scaleVec(sendDispls, es)
 	rc := scaleVec(recvCounts, es)
 	rd := scaleVec(recvDispls, es)
 	t := c.nbcPort()
-	sp, sl := nbc.BufKey(send)
-	rp, rl := nbc.BufKey(recv)
 	key := nbc.CacheKey{Kind: nbc.CacheNeighborAlltoall, Algo: metrics.CollNeighborAlltoallv,
-		Root: -1, Send: sp, SendLen: sl, Recv: rp, RecvLen: rl,
-		Shape: nbc.ShapeHash(sc, sd, rc, rd)}
-	req, err := c.cachedStart(key, func(tag int) (*nbc.Schedule, error) {
+		Root: -1, Shape: nbc.ShapeHash(sc, sd, rc, rd)}
+	return c.run(c.schedule(collCached, key, send, recv, func(tag int) (*nbc.Schedule, error) {
 		return nbc.NeighborAlltoallv(t, tag, send, sc, sd, recv, rc, rd, sources, destinations)
-	})
-	if err != nil {
-		return err
-	}
-	_, err = req.Wait()
-	return err
+	}))
 }
 
 // scaleVec multiplies a count/displacement vector by the element size.
@@ -208,40 +195,22 @@ func scaleVec(v []int, es int) []int {
 
 // neighborAllgatherInit compiles a persistent neighborhood allgather.
 func (c *Comm) neighborAllgatherInit(send, recv []byte, count int, dt *Datatype, sources, destinations []int) (*PersistentColl, error) {
-	done, err := c.collEnter()
+	x, err := c.collEnter()
 	if err != nil {
 		return nil, err
 	}
-	defer done()
-	n := count * dt.Size()
-	if len(recv) < n*len(sources) {
-		return nil, errc(ErrBuffer, "neighbor allgather recv %d < %d", len(recv), n*len(sources))
-	}
-	tag := c.persistTag()
-	s, err := nbc.NeighborAllgather(c.nbcPort(), tag, send[:n], recv[:n*len(sources)], sources, destinations)
-	if err != nil {
-		return nil, errc(ErrArg, "%v", err)
-	}
-	return c.persistWrap(s, tag), nil
+	defer x.done()
+	return c.persistWrap(c.neighborAllgatherSched(send, recv, count, dt, sources, destinations, collPersist))
 }
 
 // neighborAlltoallInit compiles a persistent neighborhood all-to-all.
 func (c *Comm) neighborAlltoallInit(send, recv []byte, count int, dt *Datatype, sources, destinations []int) (*PersistentColl, error) {
-	done, err := c.collEnter()
+	x, err := c.collEnter()
 	if err != nil {
 		return nil, err
 	}
-	defer done()
-	n := count * dt.Size()
-	if len(send) < n*len(destinations) || len(recv) < n*len(sources) {
-		return nil, errc(ErrBuffer, "neighbor alltoall_init buffers short")
-	}
-	tag := c.persistTag()
-	s, err := nbc.NeighborAlltoall(c.nbcPort(), tag, n, send[:n*len(destinations)], recv[:n*len(sources)], sources, destinations)
-	if err != nil {
-		return nil, errc(ErrArg, "%v", err)
-	}
-	return c.persistWrap(s, tag), nil
+	defer x.done()
+	return c.persistWrap(c.neighborAlltoallSched(send, recv, count, dt, sources, destinations, collPersist))
 }
 
 // NeighborAllgather exchanges one equal-size block with every nearest

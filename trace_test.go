@@ -144,3 +144,37 @@ func TestTraceDoesNotPerturbCounts(t *testing.T) {
 		})
 	}
 }
+
+// TestTraceBlockingCollNestsRounds: a blocking collective records its
+// schedule rounds inside its collective span, and the log lists the
+// span before the rounds it encloses.
+func TestTraceBlockingCollNestsRounds(t *testing.T) {
+	run(t, 4, Config{Fabric: "ofi", Trace: true}, func(p *Proc) error {
+		recv := make([]byte, 8)
+		if err := p.World().Allreduce(make([]byte, 8), recv, 1, Long, OpSum); err != nil {
+			return err
+		}
+		var coll *TraceEvent
+		rounds := 0
+		for _, e := range p.TraceEvents() {
+			switch e.Kind {
+			case TraceColl:
+				e := e
+				coll = &e
+			case TraceSched:
+				if coll == nil {
+					return fmt.Errorf("round %+v listed before its collective span", e)
+				}
+				if e.Start < coll.Start || e.End > coll.End {
+					return fmt.Errorf("round %+v outside collective span %+v", e, *coll)
+				}
+				rounds++
+			}
+		}
+		// Recursive doubling on 4 flat ranks has 2 rounds.
+		if rounds != 2 {
+			return fmt.Errorf("%d sched-round spans, want 2", rounds)
+		}
+		return nil
+	})
+}
