@@ -154,6 +154,43 @@ func TestHandoffAllreduceInPlace(t *testing.T) {
 	}
 }
 
+// TestHandoffAllreduceReplayFreshBuffers replays the cached zero-copy
+// two-level allreduce on fresh buffers every call: the rebound schedule
+// lends and folds the new buffers, never the first call's.
+func TestHandoffAllreduceReplayFreshBuffers(t *testing.T) {
+	const (
+		ranks = 4
+		count = 512 // longs; 4 KiB, above the handoff threshold
+		calls = 4
+	)
+	var st Stats
+	cfg := Config{RanksPerNode: ranks, Fabric: "ofi", ShmEagerMax: 1024, CollAlgorithm: "two-level", Stats: &st}
+	run(t, ranks, cfg, func(p *Proc) error {
+		w := p.World()
+		for c := 0; c < calls; c++ {
+			send, recv := make([]byte, count*8), make([]byte, count*8)
+			for i := 0; i < count; i++ {
+				binary.LittleEndian.PutUint64(send[i*8:], uint64((p.Rank()+1)*(i+c)))
+			}
+			if err := w.Allreduce(send, recv, count, Long, OpSum); err != nil {
+				return err
+			}
+			for i := 0; i < count; i++ {
+				if got, want := binary.LittleEndian.Uint64(recv[i*8:]), uint64(10*(i+c)); got != want {
+					return fmt.Errorf("call %d element %d = %d, want %d", c, i, got, want)
+				}
+			}
+		}
+		if n := w.sched.Len(); n != 1 {
+			return fmt.Errorf("%d cached schedules, want 1", n)
+		}
+		return nil
+	})
+	if zc := st.Aggregate().Coll[metrics.CollAllreduceTwoLevelZC]; zc.Calls != ranks*calls {
+		t.Errorf("two-level-zerocopy calls = %d, want %d", zc.Calls, ranks*calls)
+	}
+}
+
 // TestHandoffSelectionFallsBack pins that the zero-copy algorithm is
 // NOT selected below the handoff threshold or when handoff is
 // disabled: the plain two-level algorithm runs instead.

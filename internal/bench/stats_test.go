@@ -29,6 +29,12 @@ func TestExchangeBalance(t *testing.T) {
 			if total != 32 {
 				t.Fatalf("delivered %d messages, want 32", total)
 			}
+			// The large round crosses every profile's eager limit, on
+			// both devices.
+			if agg.Eager.Msgs == 0 || agg.Rndv.Msgs == 0 {
+				t.Fatalf("protocol split eager=%d rndv=%d, want both nonzero",
+					agg.Eager.Msgs, agg.Rndv.Msgs)
+			}
 			if dev == gompi.DeviceCH4 {
 				// 2 ranks per node: each rank's 2 remote peers ride the
 				// netmod, the on-node peer the shmmod, itself the
@@ -36,11 +42,6 @@ func TestExchangeBalance(t *testing.T) {
 				if agg.Self.Msgs != 8 || agg.ShmRecv.Msgs != 8 || agg.NetRecv.Msgs != 16 {
 					t.Fatalf("locality split self=%d shm=%d net=%d, want 8/8/16",
 						agg.Self.Msgs, agg.ShmRecv.Msgs, agg.NetRecv.Msgs)
-				}
-				// The large round crosses every profile's eager limit.
-				if agg.Eager.Msgs == 0 || agg.Rndv.Msgs == 0 {
-					t.Fatalf("protocol split eager=%d rndv=%d, want both nonzero",
-						agg.Eager.Msgs, agg.Rndv.Msgs)
 				}
 				if agg.Match.BinHits == 0 || agg.Match.WildHits != 0 {
 					t.Fatalf("ch4 match hits bin=%d wild=%d, want binned only",

@@ -458,25 +458,34 @@ func (ep *Endpoint) TaggedSendVCI(dst int, bits match.Bits, data []byte, v int) 
 	p := &ep.f.prof
 	ep.meter.ChargeCycles(instr.Transport, p.injectCost(p.SendInject, len(data)))
 	ep.m.NetSend.Note(len(data))
-	now := ep.meter.Now()
-	if p.EagerLimit > 0 && len(data) > p.EagerLimit {
-		// RTS out, CTS back, then the payload: two extra wire
-		// latencies plus the control processing.
-		start := now
-		ep.meter.ChargeCycles(instr.Transport, p.RndvInject)
-		now = ep.meter.Now() + 2*vtime.Time(p.WireLatency)
-		ep.m.Rndv.Note(len(data))
-		// The handshake round-trip the sender paid before the payload
-		// could cross: control processing plus two wire latencies.
-		ep.m.Lat.RndvRTT.Observe(int64(now - start))
-		ep.m.Flight.Record(flight.SendRndv, int64(now), dst, len(data), v)
-	} else {
-		ep.m.Eager.Note(len(data))
-		ep.m.Flight.Record(flight.SendEager, int64(now), dst, len(data), v)
-	}
+	now := ep.protocol(dst, len(data), v)
 	arrival := p.arrivalAt(now, len(data))
 
 	ep.f.Endpoint(dst).deposit(v, bits, ep.rank, data, arrival, viaNet, nil)
+}
+
+// protocol picks the eager or rendezvous protocol for an n-byte
+// payload toward dst's interface v, records the choice, and returns
+// the time the payload leaves. Above the eager limit that is after the
+// handshake: RTS out, CTS back, then the payload — two extra wire
+// latencies plus the control processing on the sender.
+func (ep *Endpoint) protocol(dst, n, v int) vtime.Time {
+	p := &ep.f.prof
+	now := ep.meter.Now()
+	if p.EagerLimit <= 0 || n <= p.EagerLimit {
+		ep.m.Eager.Note(n)
+		ep.m.Flight.Record(flight.SendEager, int64(now), dst, n, v)
+		return now
+	}
+	start := now
+	ep.meter.ChargeCycles(instr.Transport, p.RndvInject)
+	now = ep.meter.Now() + 2*vtime.Time(p.WireLatency)
+	ep.m.Rndv.Note(n)
+	// The handshake round-trip the sender paid before the payload could
+	// cross: control processing plus two wire latencies.
+	ep.m.Lat.RndvRTT.Observe(int64(now - start))
+	ep.m.Flight.Record(flight.SendRndv, int64(now), dst, n, v)
+	return now
 }
 
 // ViewReleaser is the fabric's handle on a zero-copy handoff view
@@ -1142,11 +1151,28 @@ func (ep *Endpoint) ownMProbeData(m *message) ([]byte, ViewReleaser) {
 // copied. Every waiter on the target wakes: whichever goroutine is
 // parked must surface to run the progress engine.
 func (ep *Endpoint) AMSend(dst int, handler uint8, hdr, payload []byte) {
+	ep.amSend(dst, handler, hdr, payload, false)
+}
+
+// AMSendData injects an active message carrying a point-to-point
+// payload. It meets the same protocol cliff as TaggedSendVCI: a
+// payload above the eager limit pays the rendezvous handshake before
+// it crosses, so a device that lowers every send to active messages
+// (the CH3-style baseline) is priced like for like.
+func (ep *Endpoint) AMSendData(dst int, handler uint8, hdr, payload []byte) {
+	ep.amSend(dst, handler, hdr, payload, true)
+}
+
+func (ep *Endpoint) amSend(dst int, handler uint8, hdr, payload []byte, data bool) {
 	ep.noteConn(dst)
 	p := &ep.f.prof
 	ep.meter.ChargeCycles(instr.Transport, p.injectCost(p.AMInject, len(hdr)+len(payload)))
 	ep.m.AmSend.Note(len(hdr) + len(payload))
-	arrival := p.arrival(ep.meter.Now(), len(hdr)+len(payload))
+	now := ep.meter.Now()
+	if data {
+		now = ep.protocol(dst, len(payload), AnyVCI)
+	}
+	arrival := p.arrivalAt(now, len(hdr)+len(payload))
 
 	h := append([]byte(nil), hdr...)
 	pl := append([]byte(nil), payload...)

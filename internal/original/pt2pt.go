@@ -68,14 +68,14 @@ func (d *Device) Isend(buf []byte, count int, dt *datatype.Type, dest, tag int,
 
 	// Envelope marshal + protocol branch + layered issue.
 	d.charge(instr.Mandatory, costHeaderBuild+costProtoBranch)
-	// Every send is a generic eager packet over the netmod on this
-	// device (no locality split, no rendezvous): count the MPI payload
-	// on the netmod path; the fabric counts the AM packet itself.
-	mm := d.rank.Metrics()
-	mm.NetSend.Note(len(data))
-	mm.Eager.Note(len(data))
+	// Every send is a generic packet over the netmod on this device (no
+	// locality split): count the MPI payload on the netmod path; the
+	// fabric counts the AM packet itself and picks the protocol, so a
+	// payload above the eager limit pays the rendezvous handshake as
+	// it does on ch4.
+	d.rank.Metrics().NetSend.Note(len(data))
 	env := envelope{bits: bits, size: uint32(len(data))}
-	d.ep.AMSend(world, amEager, env.marshal(), data)
+	d.ep.AMSendData(world, amEager, env.marshal(), data)
 
 	d.chargeRedundant(costRedundantComplete)
 	return d.finishSend(flags, c), nil

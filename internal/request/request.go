@@ -48,6 +48,12 @@ type Request struct {
 	// finishes. Zero when the device does not track request lifetime.
 	Issued int64
 
+	// Want, when positive, is the exact byte count a receive must
+	// deliver. The device ignores it; the collective engine's adapter
+	// sets it on fragment receives and reports a shorter arrival as a
+	// count mismatch.
+	Want int
+
 	// Poll returns true once the underlying transport operation has
 	// finished, filling Status via Finish. Nil for operations that
 	// completed immediately.

@@ -170,6 +170,32 @@ func TestScanExscanPublic(t *testing.T) {
 	}
 }
 
+// TestGathervShortContribution: a rank contributing fewer bytes than
+// root's counts[r] is a signature mismatch; root reports it as a count
+// error instead of completing with stale bytes in its block.
+func TestGathervShortContribution(t *testing.T) {
+	for _, cfg := range []Config{{Device: "ch4", Fabric: "ofi"}, {Device: "original", Fabric: "ofi"}} {
+		t.Run(cfgName(cfg), func(t *testing.T) {
+			run(t, 3, cfg, func(p *Proc) error {
+				w := p.World()
+				counts, displs := []int{4, 4, 4}, []int{0, 4, 8}
+				mine := []byte{1, 2, 3, 4}
+				if p.Rank() == 1 {
+					mine = mine[:1]
+				}
+				err := w.Gatherv(mine, make([]byte, 12), counts, displs, 0)
+				if p.Rank() != 0 {
+					return err
+				}
+				if ClassOf(err) != ErrCount {
+					return fmt.Errorf("short contribution: err %v, want class ErrCount", err)
+				}
+				return nil
+			})
+		})
+	}
+}
+
 func TestGathervScattervAllgathervPublic(t *testing.T) {
 	const n = 4
 	run(t, n, Config{Fabric: "ucx"}, func(p *Proc) error {

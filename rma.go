@@ -3,6 +3,7 @@ package gompi
 import (
 	"gompi/internal/core"
 	"gompi/internal/flight"
+	"gompi/internal/match"
 	"gompi/internal/rma"
 )
 
@@ -477,8 +478,8 @@ func (w *Win) flushRequest(target int) (*Request, error) {
 }
 
 // tagWinNotify is the reserved collective-context tag notified access
-// rides on (post/complete tokens use 700/701).
-const tagWinNotify = 704
+// rides on, below the collective schedule tags like the PSCW tokens.
+const tagWinNotify = match.TagWinNotify
 
 // PutNotify transfers like Put, then delivers a notification the
 // target can await with WaitNotify — the foMPI-style notified access

@@ -289,6 +289,59 @@ func TestPutNotifyWaitNotify(t *testing.T) {
 	}
 }
 
+// TestNotifyTokenOutlivesCollectives: a notification still in flight
+// while the window's communicator runs many collectives must reach
+// WaitNotify, not a collective's receive. Every collective draws the
+// next schedule tag, so 800 calls sweep the tags that a notify token
+// inside the schedule range would collide with.
+func TestNotifyTokenOutlivesCollectives(t *testing.T) {
+	const calls = 800
+	for _, cfg := range []Config{
+		{Device: "ch4", Fabric: "ofi"},
+		{Device: "original", Fabric: "ofi"},
+	} {
+		t.Run(cfgName(cfg), func(t *testing.T) {
+			run(t, 2, cfg, func(p *Proc) error {
+				w := p.World()
+				win, mem, err := w.WinAllocate(16, 1)
+				if err != nil {
+					return err
+				}
+				if err := win.LockAll(); err != nil {
+					return err
+				}
+				if p.Rank() == 0 {
+					if err := win.PutNotify([]byte("token"), 5, Byte, 1, 0); err != nil {
+						return err
+					}
+				}
+				for i := 0; i < calls; i++ {
+					got, err := w.AllreduceFloat64([]float64{float64(p.Rank() + i)}, OpSum)
+					if err != nil {
+						return fmt.Errorf("allreduce %d: %v", i, err)
+					}
+					if want := float64(1 + 2*i); got[0] != want {
+						return fmt.Errorf("allreduce %d = %v, want %v", i, got[0], want)
+					}
+				}
+				if p.Rank() == 1 {
+					src, err := win.WaitNotify(AnySource)
+					if err != nil {
+						return err
+					}
+					if src != 0 || string(mem[:5]) != "token" {
+						return fmt.Errorf("notified by %d, window %q", src, mem[:5])
+					}
+				}
+				if err := win.UnlockAll(); err != nil {
+					return err
+				}
+				return win.Free()
+			})
+		})
+	}
+}
+
 // TestZeroCopyShmPutNoStagingCopies is the acceptance-criterion
 // assertion: an intra-node Put on an allocated window performs zero
 // staging copies — the payload lands directly in the target window —
